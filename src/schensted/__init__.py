@@ -7,6 +7,8 @@ re-checks the commutation of the two insertions and every supporting
 invariant at small sizes.
 """
 
+import types as _types
+
 from .fused import (
     CommutationReport,
     ConflictAssignment,
@@ -30,8 +32,10 @@ from .harness import (
     run_sweep,
 )
 from .insertion import (
+    InvariantViolation,
     Trail,
     TrailInconsistentWithTableau,
+    TrailInvariantViolation,
     TrailStep,
     XAlreadyPresent,
     column_insert,
@@ -57,6 +61,7 @@ from .tableau import (
 )
 from .trails import (
     GeometricTrail,
+    ImpossibleConfiguration,
     IntersectionReport,
     MultipleSharedBoxes,
     NotAStrongIntersection,
@@ -66,5 +71,5 @@ from .trails import (
     geometric_trail,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _types.ModuleType)]
 __version__ = "0.1.0"

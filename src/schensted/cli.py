@@ -4,7 +4,8 @@ Subcommands: insert, commute, verify, rsk, render.  Tableaux are read from
 ``--file`` (default standard input) in the plain text format: one row per
 line, row 0 first, space-separated decimal naturals, ``#`` comments.
 
-Exit codes: 0 success, 1 verification or commutation failure, 2 input error.
+Exit codes: 0 success, 1 verification or commutation failure or a violated
+invariant, 2 input error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .fused import commute_check
 from .harness import DuplicateInWord, SweepFailure, rsk, run_sweep
-from .insertion import XAlreadyPresent, column_insert, row_insert
+from .insertion import InvariantViolation, XAlreadyPresent, column_insert, row_insert
 from .render import RenderOptions, render_tableau, render_trail
 from .tableau import Tableau, TableauError, parse_tableau
 
@@ -194,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TableauError, XAlreadyPresent, DuplicateInWord, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InvariantViolation as err:
+        print(f"invariant violated: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,15 +4,18 @@
 of x→T and the row trail of T←y, both read off the *original* tableau, slides
 each label to the next box of its own trail, and resolves the conflicts that
 arise where the two trails meet.  The compositional insertions serve as the
-oracle that the fused result must match.
+oracle that the fused result must match.  ``commute_check`` is the one
+analysis of a case: the lemma checks read the trails from its report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .insertion import Trail, column_insert, row_insert, tableau_from_grid
-from .tableau import BoxCoord, Label, Tableau, TableauError
+from .insertion import InvariantViolation, Trail, column_insert, row_insert
+from .insertion import _apply_placements, _trail_placements
+from .tableau import Label, Tableau, TableauError
 from .trails import IntersectionReport, NotAStrongIntersection, classify_intersection
 
 
@@ -20,17 +23,17 @@ class LabelsNotDistinct(ValueError):
     pass
 
 
-class InvalidResult(AssertionError):
+class InvalidResult(InvariantViolation):
     """The fused slide produced an invalid tableau (never expected)."""
 
 
 @dataclass(frozen=True)
 class ConflictAssignment:
-    """Labels placed in the shared box S and its two successor boxes B, J."""
+    """Labels placed in the shared box S and its two successor boxes B, J (or none)."""
 
     s_target: Label
-    b_target: Label
-    j_target: Label
+    b_target: Optional[Label]
+    j_target: Optional[Label]
 
 
 @dataclass(frozen=True)
@@ -40,27 +43,50 @@ class CommutationReport:
     fused: Tableau
     intersection: IntersectionReport
     all_equal: bool
+    after_col: Tableau  # x→T
+    col_trail: Trail  # column trail of x→T
+    after_row: Tableau  # T←y
+    row_trail: Trail  # row trail of T←y
+    left_row_trail: Trail  # row trail of (x→T)←y
 
 
-def resolve_conflict(a: Label, i: Label, s: Label) -> ConflictAssignment:
-    """Assign labels to S, B, J where the two trails cross at a labeled box.
+def resolve_conflict(a: Label, i: Label, s: Optional[Label]) -> ConflictAssignment:
+    """Assign labels to S, B, J where the two trails meet at the box S.
 
-    ``a`` and ``i`` both want to slide into S, while ``s`` could slide into
-    either successor box; the order of ``a`` and ``i`` decides.
+    ``a`` and ``i`` both want to slide into S, while ``s`` (``None`` when S
+    was empty) could slide into either successor box; the order of ``a`` and
+    ``i`` decides.
     """
     if len({a, i, s}) != 3:
         raise LabelsNotDistinct(f"a={a}, i={i}, s={s} must be pairwise distinct")
-    if not (a < s and i < s):
+    if s is not None and not (a < s and i < s):
         raise LabelsNotDistinct(f"expected a={a} < s={s} and i={i} < s={s}")
     if i < a:
         return ConflictAssignment(s_target=i, b_target=s, j_target=a)
     return ConflictAssignment(s_target=a, b_target=i, j_target=s)
 
 
-def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Label]]:
-    """Normal sliding: box k receives the previous label, box 0 the inserted value."""
-    labels = (inserted,) + trail.labels
-    return [(step.box, labels[k]) for k, step in enumerate(trail.steps)]
+def _fused(
+    t: Tableau, x: Label, y: Label, col: Trail, row: Trail, report: IntersectionReport
+) -> Tableau:
+    """Slide both trails of ``t`` at once, resolving the conflict at S."""
+    placements = _trail_placements(col, x) + _trail_placements(row, y)
+    if report.variant != "disjoint":
+        s_box, s = report.s_box, report.s
+        if s is None:  # S ends both trails: B and J are its right and upper neighbors.
+            b_box, j_box = (s_box[0], s_box[1] + 1), (s_box[0] + 1, s_box[1])
+        else:  # B and J follow S in the column and in the row trail.
+            b_box = col.steps[col.boxes.index(s_box) + 1].box
+            j_box = row.steps[row.boxes.index(s_box) + 1].box
+        rule = resolve_conflict(report.a, report.i, s)
+        # Skip the conflicting placements (a→S, i→S, s→B, s→J), slide the rest.
+        placements = [(box, v) for box, v in placements if box != s_box and v != s]
+        targets = ((s_box, rule.s_target), (b_box, rule.b_target), (j_box, rule.j_target))
+        placements += [(box, v) for box, v in targets if v is not None]
+    try:
+        return _apply_placements(t, placements)
+    except TableauError as err:
+        raise InvalidResult(f"fused slide produced an invalid tableau: {err}") from err
 
 
 def fused_insert(t: Tableau, x: Label, y: Label) -> Tableau:
@@ -70,98 +96,60 @@ def fused_insert(t: Tableau, x: Label, y: Label) -> Tableau:
     _, col_trail = column_insert(x, t)
     _, row_trail = row_insert(t, y)
     report = classify_intersection(row_trail, col_trail, x, y)
-
-    grid = {box: t.get(box) for box in t.boxes()}
-    col_place = _trail_placements(col_trail, x)
-    row_place = _trail_placements(row_trail, y)
-
-    if report.variant == "disjoint":
-        for box, label in col_place + row_place:
-            grid[box] = label
-    elif report.variant == "shared_empty_box":
-        s_box = report.s_box
-        # Both final placements target S; replace them by the two-case rule.
-        for box, label in col_place + row_place:
-            if box != s_box:
-                grid[box] = label
-        r0, c0 = s_box
-        if report.i < report.a:
-            grid[s_box] = report.i
-            grid[(r0 + 1, c0)] = report.a
-        else:
-            grid[s_box] = report.a
-            grid[(r0, c0 + 1)] = report.i
-    else:
-        s_box = report.s_box
-        s = report.s
-        assignment = resolve_conflict(report.a, report.i, s)
-        ci = col_trail.boxes.index(s_box)
-        ri = row_trail.boxes.index(s_box)
-        b_box = col_trail.steps[ci + 1].box
-        j_box = row_trail.steps[ri + 1].box
-        # Skip the conflicting placements (a→S, i→S, s→B, s→J), slide the rest.
-        for box, label in col_place + row_place:
-            if box == s_box or label == s:
-                continue
-            grid[box] = label
-        grid[s_box] = assignment.s_target
-        grid[b_box] = assignment.b_target
-        grid[j_box] = assignment.j_target
-
-    try:
-        return tableau_from_grid(grid)
-    except TableauError as err:
-        raise InvalidResult(f"fused slide produced an invalid tableau: {err}") from err
+    return _fused(t, x, y, col_trail, row_trail, report)
 
 
 def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
-    """Compare (x→T)←y, x→(T←y), and the fused one-pass computation."""
+    """Compare (x→T)←y, x→(T←y), and the fused one-pass computation.
+
+    Each of the four insertions runs once and the trails are classified once;
+    the report keeps both trails of T, the single insertions, and the row
+    trail of (x→T)←y.  ``left`` and ``right`` share no code with the fused slide.
+    """
     after_col, col_trail = column_insert(x, t)
     after_row, row_trail = row_insert(t, y)
-    left, _ = row_insert(after_col, y)
+    left, left_row_trail = row_insert(after_col, y)
     right, _ = column_insert(x, after_row)
-    fused = fused_insert(t, x, y)
-    report = classify_intersection(row_trail, col_trail, x, y)
+    intersection = classify_intersection(row_trail, col_trail, x, y)
+    fused = _fused(t, x, y, col_trail, row_trail, intersection)
     return CommutationReport(
         left=left,
         right=right,
         fused=fused,
-        intersection=report,
+        intersection=intersection,
         all_equal=left == right == fused,
+        after_col=after_col,
+        col_trail=col_trail,
+        after_row=after_row,
+        row_trail=row_trail,
+        left_row_trail=left_row_trail,
     )
 
 
-def trail_agreement_below(t: Tableau, x: Label, y: Label) -> bool:
-    """Compare the row trails of T←y and (x→T)←y below the crossing row.
+def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
+    """Compare the row trails of T←y and (x→T)←y around the crossing row.
 
-    Requires a strong intersection at some box S; returns whether the two
-    row trails agree (boxes and labels) on every row strictly below S's row.
+    Requires a strong intersection at some box S.  Returns whether the two
+    trails agree (boxes and labels) on every row strictly below S's row, and
+    strictly above it, and whether the part-II hypothesis holds: their first
+    boxes above the crossing row agree, with the same label.  The hypothesis
+    is expected to always hold; it is reported so a failure would show alone.
     """
-    after_col, col_trail = column_insert(x, t)
-    _, row_trail = row_insert(t, y)
-    report = classify_intersection(row_trail, col_trail, x, y)
-    if report.variant != "strong":
-        raise NotAStrongIntersection(f"intersection is {report.variant}")
-    _, row_trail2 = row_insert(after_col, y)
-    crossing_row = report.s_box[0]
-    return row_trail.steps[:crossing_row] == row_trail2.steps[:crossing_row]
+    inter = report.intersection
+    if inter.variant != "strong":
+        raise NotAStrongIntersection(f"intersection is {inter.variant}")
+    k = inter.s_box[0]
+    before, after = report.row_trail.steps, report.left_row_trail.steps
+    s1, s2 = before[k + 1 :], after[k + 1 :]
+    hypothesis = bool(s1) and bool(s2) and s1[0] == s2[0]
+    return before[:k] == after[:k], s1 == s2, hypothesis
+
+
+def trail_agreement_below(t: Tableau, x: Label, y: Label) -> bool:
+    """Whether the row trails of T←y and (x→T)←y agree below the crossing row."""
+    return trail_agreement(commute_check(t, x, y))[0]
 
 
 def trail_agreement_above(t: Tableau, x: Label, y: Label) -> tuple[bool, bool]:
-    """Compare the same two row trails above the crossing row.
-
-    Returns ``(above_equal, hypothesis_holds)`` where the hypothesis is that
-    the first boxes just above the crossing row agree, with the same label.
-    The hypothesis is expected to always hold; it is reported separately so a
-    failure of it would be visible on its own.
-    """
-    after_col, col_trail = column_insert(x, t)
-    _, row_trail = row_insert(t, y)
-    report = classify_intersection(row_trail, col_trail, x, y)
-    if report.variant != "strong":
-        raise NotAStrongIntersection(f"intersection is {report.variant}")
-    _, row_trail2 = row_insert(after_col, y)
-    k = report.s_box[0] + 1
-    s1, s2 = row_trail.steps[k:], row_trail2.steps[k:]
-    hypothesis = bool(s1) and bool(s2) and s1[0] == s2[0]
-    return s1 == s2, hypothesis
+    """``(above_equal, hypothesis_holds)`` of :func:`trail_agreement`."""
+    return trail_agreement(commute_check(t, x, y))[1:]

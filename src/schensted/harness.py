@@ -11,23 +11,14 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
-from .fused import commute_check, trail_agreement_above, trail_agreement_below
-from .insertion import (
-    Trail,
-    column_insert,
-    insert_into_row,
-    row_insert,
-    slide_trail,
-    validate_trail,
-)
+from .fused import commute_check, trail_agreement
+from .insertion import _apply_placements, insert_into_row, row_insert, slide_trail, validate_trail
 from .tableau import Label, Tableau
-from .trails import check_relative_position, classify_intersection
+from .trails import check_relative_position
 
 # Number of standard Young tableaux with n cells, n = 0, 1, 2, ...
 INVOLUTION_NUMBERS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)
@@ -158,7 +149,7 @@ def check_modify_property(
     _, bumped = insert_into_row(row, x)
     if bumped is None:
         return None
-    y_pos = bisect_left(row, x)
+    y_pos = row.index(bumped)
     modified = perturb_row(row, y_pos, rng)
     _, bumped2 = insert_into_row(modified, x)
     if bumped2 != bumped:
@@ -169,24 +160,27 @@ def check_modify_property(
 
 
 def check_case(case: CaseDescriptor, rng: random.Random, summary: SweepSummary) -> None:
-    """Run every per-case invariant; raise SweepFailure on the first violation."""
-    t, x, y = case.tableau, case.x, case.y
-    try:
-        _, col_trail = column_insert(x, t)
-        _, row_trail = row_insert(t, y)
-        validate_trail(col_trail)
-        validate_trail(row_trail)
-        if slide_trail(t, row_trail, y) != row_insert(t, y)[0]:
-            raise AssertionError("row slide mismatch")
-        if slide_trail(t, col_trail, x) != column_insert(x, t)[0]:
-            raise AssertionError("column slide mismatch")
-    except Exception as err:
-        raise SweepFailure(case, "trail", str(err)) from err
+    """Run every per-case invariant; raise SweepFailure on the first violation.
 
+    The case is analysed once by ``commute_check``; every check reads the
+    trails, insertions and intersection from its report.
+    """
+    t, x, y = case.tableau, case.x, case.y
     try:
         report = commute_check(t, x, y)
     except Exception as err:
         raise SweepFailure(case, "commutation", str(err)) from err
+
+    try:
+        validate_trail(report.col_trail)
+        validate_trail(report.row_trail)
+        if slide_trail(t, report.row_trail, y) != report.after_row:
+            raise AssertionError("row slide mismatch")
+        if slide_trail(t, report.col_trail, x) != report.after_col:
+            raise AssertionError("column slide mismatch")
+    except Exception as err:
+        raise SweepFailure(case, "trail", str(err)) from err
+
     if not report.all_equal:
         raise SweepFailure(case, "commutation", "left/right/fused disagree")
     inter = report.intersection
@@ -194,22 +188,17 @@ def check_case(case: CaseDescriptor, rng: random.Random, summary: SweepSummary) 
     if inter.variant == "strong":
         summary.configuration_counts[inter.configuration] += 1
         try:
-            if not check_relative_position(row_trail, col_trail, inter.s_box):
+            if not check_relative_position(report.row_trail, report.col_trail, inter.s_box):
                 raise AssertionError("relative position violated")
         except Exception as err:
             raise SweepFailure(case, "relative_position", str(err)) from err
-        try:
-            if not trail_agreement_below(t, x, y):
-                raise SweepFailure(case, "trail_agreement_below")
-            above_equal, hypothesis = trail_agreement_above(t, x, y)
-            if not hypothesis:
-                summary.part_ii_hypothesis_failures += 1
-            if not above_equal:
-                raise SweepFailure(case, "trail_agreement_above")
-        except SweepFailure:
-            raise
-        except Exception as err:
-            raise SweepFailure(case, "trail_agreement", str(err)) from err
+        below_equal, above_equal, hypothesis = trail_agreement(report)  # the case is strong
+        if not below_equal:
+            raise SweepFailure(case, "trail_agreement_below")
+        if not hypothesis:
+            summary.part_ii_hypothesis_failures += 1
+        if not above_equal:
+            raise SweepFailure(case, "trail_agreement_above")
 
     # One randomized bump-stability instance on the first-row insertion.
     if t.rows:
@@ -235,14 +224,21 @@ def run_sweep(max_n: int, workers: int = 1, seed: int = 0) -> SweepSummary:
 
     Raises SweepFailure on the first violation; otherwise returns the
     aggregated summary (deterministic for a fixed seed, independent of the
-    worker count).
+    worker count).  Raises ValueError for a negative ``max_n`` or fewer than
+    one worker.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     total = SweepSummary()
-    if workers <= 1:
+    if workers == 1:
         for n in range(max_n + 1):
             total.merge(_sweep_level(n, seed))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # heavy; only this path needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_sweep_level, n, seed, shard, workers)
@@ -260,14 +256,11 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     if len(set(word)) != len(word):
         raise DuplicateInWord(f"word {word} has repeated labels")
     p = Tableau()
-    q_grid: dict[tuple[int, int], int] = {}
+    q_placements = []
     for step_index, v in enumerate(word, 1):
         p, trail = row_insert(p, v)
-        q_grid[trail.created_box] = step_index
-    q_rows: list[tuple[int, ...]] = []
-    for r in range(len(p.rows)):
-        q_rows.append(tuple(q_grid[(r, c)] for c in range(len(p.rows[r]))))
-    return p, Tableau(tuple(q_rows))
+        q_placements.append((trail.created_box, step_index))
+    return p, _apply_placements(Tableau(), q_placements)
 
 
 def reversal_check(n: int) -> bool:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Literal, Optional
 
-from .tableau import BoxCoord, Label, Tableau, TableauError
+from .tableau import BoxCoord, Label, Tableau, TableauError, transpose_rows
 
 TrailKind = Literal["row", "column"]
 
@@ -26,7 +27,11 @@ class TrailInconsistentWithTableau(ValueError):
     pass
 
 
-class TrailInvariantViolation(AssertionError):
+class InvariantViolation(AssertionError):
+    """A computed result breaks an invariant the library relies on (never expected)."""
+
+
+class TrailInvariantViolation(InvariantViolation):
     """A produced trail breaks one of its structural invariants."""
 
 
@@ -68,35 +73,51 @@ def validate_trail(trail: Trail) -> None:
     labels = trail.labels
     if any(u >= v for u, v in zip(labels, labels[1:])):
         raise TrailInvariantViolation("trail labels must strictly increase")
-    if trail.kind == "row":
-        # Step k in row k; columns weakly decreasing (weakly to the north-west).
-        for k, s in enumerate(steps):
-            if s.box[0] != k:
-                raise TrailInvariantViolation(f"row-trail step {k} not in row {k}")
-        cols = [s.box[1] for s in steps]
-        if any(a < b for a, b in zip(cols, cols[1:])):
-            raise TrailInvariantViolation("row-trail columns must weakly decrease")
-    else:
-        for k, s in enumerate(steps):
-            if s.box[1] != k:
-                raise TrailInvariantViolation(f"column-trail step {k} not in column {k}")
-        rows = [s.box[0] for s in steps]
-        if any(a < b for a, b in zip(rows, rows[1:])):
-            raise TrailInvariantViolation("column-trail rows must weakly decrease")
+    # Step k lies in row (column) k; the other coordinate weakly decreases.
+    line, other = ("row", 1) if trail.kind == "row" else ("column", 0)
+    for k, s in enumerate(steps):
+        if s.box[1 - other] != k:
+            raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
+    coords = [s.box[other] for s in steps]
+    if any(a < b for a, b in zip(coords, coords[1:])):
+        across = "columns" if line == "row" else "rows"
+        raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
+
+
+def _bump(lines: list[tuple[Label, ...]], x: Label) -> list[tuple[BoxCoord, Optional[Label]]]:
+    """Bump ``x`` through ``lines[0], lines[1], ...``, rewriting the lines in place.
+
+    Each line swaps the incoming value for its smallest larger entry, which moves
+    on; a value larger than the whole line (or past the last line) is appended.
+    Returns ``((line, position), bumped label or None)`` per step.  Row insertion
+    runs it on the rows, column insertion on the columns.
+    """
+    steps = []
+    for k, line in enumerate(lines):
+        pos = bisect_left(line, x)
+        if pos == len(line):
+            lines[k] = line + (x,)
+            steps.append(((k, pos), None))
+            return steps
+        steps.append(((k, pos), line[pos]))
+        lines[k] = line[:pos] + (x,) + line[pos + 1 :]
+        x = line[pos]
+    lines.append((x,))
+    steps.append(((len(lines) - 1, 0), None))
+    return steps
 
 
 def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...], Optional[Label]]:
-    """Bump ``x`` into one strictly increasing row.
+    """Bump ``x`` into one strictly increasing row: the first step of ``_bump``.
 
     Appends when ``x`` exceeds everything; otherwise replaces the smallest
     element greater than ``x`` and reports it as bumped.
     """
     if x in row:
         raise XAlreadyPresent(f"{x} already present in row")
-    pos = bisect_left(row, x)
-    if pos == len(row):
-        return row + (x,), None
-    return row[:pos] + (x,) + row[pos + 1 :], row[pos]
+    lines = [row]
+    _, bumped = _bump(lines, x)[0]
+    return lines[0], bumped
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
@@ -104,60 +125,17 @@ def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
-    steps: list[TrailStep] = []
-    cur = x
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append((cur,))
-            steps.append(TrailStep((r, 0), None))
-            break
-        row = rows[r]
-        pos = bisect_left(row, cur)
-        if pos == len(row):
-            rows[r] = row + (cur,)
-            steps.append(TrailStep((r, pos), None))
-            break
-        bumped = row[pos]
-        rows[r] = row[:pos] + (cur,) + row[pos + 1 :]
-        steps.append(TrailStep((r, pos), bumped))
-        cur = bumped
-        r += 1
-    return Tableau(tuple(rows)), Trail("row", tuple(steps))
+    steps = tuple(starmap(TrailStep, _bump(rows, x)))
+    return Tableau(tuple(rows)), Trail("row", steps)
 
 
 def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
-    """Insert ``x`` by columns (x → T); the exact column/row mirror of row_insert."""
+    """Insert ``x`` by columns (x → T): row bumping on the columns of ``t``."""
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
-    width = len(t.rows[0]) if t.rows else 0
-    cols: list[list[Label]] = [
-        [row[c] for row in t.rows if len(row) > c] for c in range(width)
-    ]
-    steps: list[TrailStep] = []
-    cur = x
-    c = 0
-    while True:
-        if c == len(cols):
-            cols.append([cur])
-            steps.append(TrailStep((0, c), None))
-            break
-        col = cols[c]
-        pos = bisect_left(col, cur)
-        if pos == len(col):
-            col.append(cur)
-            steps.append(TrailStep((pos, c), None))
-            break
-        bumped = col[pos]
-        col[pos] = cur
-        steps.append(TrailStep((pos, c), bumped))
-        cur = bumped
-        c += 1
-    height = max(len(col) for col in cols)
-    rows = tuple(
-        tuple(col[r] for col in cols if len(col) > r) for r in range(height)
-    )
-    return Tableau(rows), Trail("column", tuple(steps))
+    cols = list(transpose_rows(t.rows))
+    steps = tuple(TrailStep((r, c), label) for (c, r), label in _bump(cols, x))
+    return Tableau(transpose_rows(cols)), Trail("column", steps)
 
 
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
@@ -169,27 +147,28 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     """
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
-    grid = {box: t.get(box) for box in t.boxes()}
     for step in trail.steps[:-1]:
-        if grid.get(step.box) != step.label:
+        if t.get(step.box) != step.label:
             raise TrailInconsistentWithTableau(
                 f"box {step.box} does not hold label {step.label}"
             )
-    for step, nxt in zip(trail.steps, trail.steps[1:]):
-        grid[nxt.box] = step.label
-    grid[trail.steps[0].box] = inserted
-    return tableau_from_grid(grid)
+    return _apply_placements(t, _trail_placements(trail, inserted))
 
 
-def tableau_from_grid(grid: dict[BoxCoord, Label]) -> Tableau:
-    """Assemble a tableau from a box->label mapping; the shape must be contiguous."""
-    if not grid:
-        return Tableau()
-    nrows = max(r for r, _ in grid) + 1
-    rows = []
-    for r in range(nrows):
-        cols = sorted(c for (rr, c) in grid if rr == r)
-        if cols != list(range(len(cols))):
-            raise TableauError(f"row {r} has gaps: columns {cols}", (r, 0))
-        rows.append(tuple(grid[(r, c)] for c in cols))
-    return Tableau(tuple(rows))
+def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Label]]:
+    """Normal sliding: box k receives the previous label, box 0 the inserted value."""
+    return list(zip(trail.boxes, (inserted,) + trail.labels))
+
+
+def _apply_placements(t: Tableau, placements: list[tuple[BoxCoord, Label]]) -> Tableau:
+    """Write each ``(box, label)`` into a copy of ``t``; the shape must stay contiguous."""
+    rows = [dict(enumerate(row)) for row in t.rows]
+    for (r, c), label in placements:
+        while len(rows) <= r:
+            rows.append({})
+        rows[r][c] = label
+    new_rows = tuple(tuple(map(row.get, range(len(row)))) for row in rows)
+    for r, row in enumerate(new_rows):
+        if not row or None in row:  # a missing column reads as None
+            raise TableauError(f"row {r} has gaps: columns {sorted(rows[r])}", (r, 0))
+    return Tableau(new_rows)

@@ -89,12 +89,7 @@ class Tableau:
 
     def transpose(self) -> "Tableau":
         """Reflect across the diagonal: box (r, c) moves to (c, r)."""
-        if not self.rows:
-            return Tableau()
-        cols = []
-        for c in range(len(self.rows[0])):
-            cols.append(tuple(row[c] for row in self.rows if len(row) > c))
-        return Tableau(tuple(cols))
+        return Tableau(transpose_rows(self.rows))
 
     def __contains__(self, v: Label) -> bool:
         return any(v in row for row in self.rows)
@@ -114,6 +109,13 @@ class Tableau:
         for r, row in enumerate(self.rows):
             for c in range(len(row)):
                 yield (r, c)
+
+
+def transpose_rows(rows: Sequence[tuple[Label, ...]]) -> tuple[tuple[Label, ...], ...]:
+    """The columns of a Ferrers-shaped list of lines, each as a tuple."""
+    if not rows:
+        return ()
+    return tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(len(rows[0])))
 
 
 def conjugate(shape: Shape) -> Shape:

@@ -1,27 +1,27 @@
 """Geometric trails, intersection classification, and the adjacency analysis.
 
-A trail becomes a broken line through the centers of its boxes.  Centers are
-kept in integer coordinates (scaled by two) so every segment test is exact;
-a row-trail segment always climbs one row, a column-trail segment always
-advances one column, and any center lying on a segment is necessarily one of
-its endpoints.
+A trail becomes a broken line through the centers of its boxes, kept in
+integer half-box units so that box centers have odd coordinates.  Step k of a
+row trail lies in row k and step k of a column trail in column k, so every
+row-trail segment spans one row band and every column-trail segment one
+column band.  No vertex of one trail can then lie inside a segment of the
+other: the two broken lines touch either at a shared box or by a strict
+crossing, which integer cross products detect exactly.
 
 Two trails on the same tableau either share no point (disjoint), share only
 their final unlabeled box, or share exactly one labeled box S.  In the last
 case the neighbors of S inside the two trails are reported: ``a``/``b`` are
 the column-trail predecessor and successor labels, ``i``/``j`` the row-trail
-ones, with ``a`` defaulting to
-the column-inserted value and ``i`` to the row-inserted one when S starts
-its trail.
+ones, with ``a`` defaulting to the column-inserted value and ``i`` to the
+row-inserted one when S starts its trail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional
 
-from .insertion import Trail
+from .insertion import InvariantViolation, Trail
 from .tableau import BoxCoord, Label
 
 Point = tuple[int, int]  # (x, y) = (2*col + 1, 2*row + 1)
@@ -38,15 +38,15 @@ CONFIGURATIONS = {
 }
 
 
-class WeakIntersectionDetected(AssertionError):
+class WeakIntersectionDetected(InvariantViolation):
     """The broken lines cross away from a shared box center (never expected)."""
 
 
-class MultipleSharedBoxes(AssertionError):
+class MultipleSharedBoxes(InvariantViolation):
     """The trails share more than one box (never expected)."""
 
 
-class ImpossibleConfiguration(AssertionError):
+class ImpossibleConfiguration(InvariantViolation):
     """The adjacency pattern around S is not one of the five possible ones."""
 
 
@@ -104,83 +104,12 @@ def _cross(o: Point, p: Point, q: Point) -> int:
     return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
 
 
-def _on_segment(p: Point, q: Point, m: Point) -> bool:
-    """Whether collinear point m lies within the bounding box of segment pq."""
-    return min(p[0], q[0]) <= m[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= m[1] <= max(
-        p[1], q[1]
+def _cross_strictly(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """Whether segments p1p2 and q1q2 cross at a point inside both."""
+    return (
+        _cross(q1, q2, p1) * _cross(q1, q2, p2) < 0
+        and _cross(p1, p2, q1) * _cross(p1, p2, q2) < 0
     )
-
-
-def _segment_meetings(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Exact intersection of two closed segments.
-
-    Returns None for no contact, a one-point list for a point contact, and
-    None-length sentinel ``[]`` when the overlap is a whole sub-segment.
-    """
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        # Proper crossing in the interiors; solve for the point.
-        t = Fraction(d1, d1 - d2)
-        x = Fraction(p1[0]) + t * (p2[0] - p1[0])
-        y = Fraction(p1[1]) + t * (p2[1] - p1[1])
-        return [(x, y)]
-    touches: set[tuple[Fraction, Fraction]] = set()
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        touches.add((Fraction(p1[0]), Fraction(p1[1])))
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        touches.add((Fraction(p2[0]), Fraction(p2[1])))
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        touches.add((Fraction(q1[0]), Fraction(q1[1])))
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        touches.add((Fraction(q2[0]), Fraction(q2[1])))
-    if not touches:
-        return None
-    if len(touches) > 1:
-        return []  # collinear overlap of positive length
-    return [touches.pop()]
-
-
-def _polyline_meetings(
-    verts1: tuple[Point, ...], verts2: tuple[Point, ...]
-) -> Optional[set[tuple[Fraction, Fraction]]]:
-    """All contact points of two polylines; None means a positive-length overlap."""
-    points: set[tuple[Fraction, Fraction]] = set()
-    segs1 = list(zip(verts1, verts1[1:]))
-    segs2 = list(zip(verts2, verts2[1:]))
-    if not segs1 or not segs2:
-        # At least one polyline is a single vertex; only point-on-polyline contact.
-        singles, other_verts, other_segs = (
-            (verts1, verts2, segs2) if not segs1 else (verts2, verts1, segs1)
-        )
-        for v in singles:
-            if v in other_verts:
-                points.add((Fraction(v[0]), Fraction(v[1])))
-            for p, q in other_segs:
-                if _cross(p, q, v) == 0 and _on_segment(p, q, v):
-                    points.add((Fraction(v[0]), Fraction(v[1])))
-        return points
-    for p1, p2 in segs1:
-        for q1, q2 in segs2:
-            # cheap bounding-box reject before the exact tests
-            if (
-                max(p1[0], p2[0]) < min(q1[0], q2[0])
-                or max(q1[0], q2[0]) < min(p1[0], p2[0])
-                or max(p1[1], p2[1]) < min(q1[1], q2[1])
-                or max(q1[1], q2[1]) < min(p1[1], p2[1])
-            ):
-                continue
-            met = _segment_meetings(p1, p2, q1, q2)
-            if met is None:
-                continue
-            if met == []:
-                return None
-            points.update(met)
-    return points
 
 
 def classify_intersection(
@@ -189,30 +118,35 @@ def classify_intersection(
     """Classify how the row trail of T←y meets the column trail of x→T.
 
     Both trails must come from the same tableau.  Raises if the trails share
-    more than one box or if their broken lines meet anywhere other than the
-    center of a shared box; either event would contradict the intersection
-    lemmas and signals a bug (or a counterexample).
+    more than one box or if their broken lines cross anywhere other than at
+    the center of a shared box; either event would contradict the
+    intersection lemmas and signals a bug (or a counterexample).  Raises
+    ValueError for a trail whose step k is not in row (column) k.
     """
     if row_trail.kind != "row" or col_trail.kind != "column":
         raise ValueError("expected a row trail and a column trail")
     row_boxes = row_trail.boxes
     col_boxes = col_trail.boxes
-    shared = [bx for bx in row_boxes if bx in set(col_boxes)]
+    # The crossing test below is exact only when every segment spans one band.
+    if any(r != k for k, (r, _) in enumerate(row_boxes)) or any(
+        c != k for k, (_, c) in enumerate(col_boxes)
+    ):
+        raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
+    col_set = set(col_boxes)
+    shared = [bx for bx in row_boxes if bx in col_set]
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")
 
-    meetings = _polyline_meetings(
-        tuple(box_center(bx) for bx in row_boxes),
-        tuple(box_center(bx) for bx in col_boxes),
-    )
-    allowed = {
-        (Fraction(pt[0]), Fraction(pt[1])) for pt in (box_center(bx) for bx in shared)
-    }
-    if meetings is None:
-        raise WeakIntersectionDetected("trails overlap along a segment")
-    stray = meetings - allowed
-    if stray:
-        raise WeakIntersectionDetected(f"geometric trails meet at {sorted(stray)}")
+    row_pts = [box_center(bx) for bx in row_boxes]
+    col_pts = [box_center(bx) for bx in col_boxes]
+    for k in range(len(row_pts) - 1):
+        # Row segment k can only cross the column segments m with lo <= m < hi.
+        lo, hi = sorted((row_boxes[k][1], row_boxes[k + 1][1]))
+        for m in range(lo, min(hi, len(col_pts) - 1)):
+            if _cross_strictly(row_pts[k], row_pts[k + 1], col_pts[m], col_pts[m + 1]):
+                raise WeakIntersectionDetected(
+                    f"row-trail segment {k} crosses column-trail segment {m}"
+                )
 
     if not shared:
         return IntersectionReport("disjoint")
@@ -227,16 +161,14 @@ def classify_intersection(
         raise MultipleSharedBoxes(
             f"shared box {s_box} is final in exactly one trail"
         )
+    a = col_trail.steps[ci - 1].label if ci > 0 else x
+    i = row_trail.steps[ri - 1].label if ri > 0 else y
     if row_final:
-        a = col_trail.steps[ci - 1].label if ci > 0 else x
-        i = row_trail.steps[ri - 1].label if ri > 0 else y
         return IntersectionReport("shared_empty_box", s_box=s_box, a=a, i=i)
 
     s = row_trail.steps[ri].label
     if col_trail.steps[ci].label != s:
         raise MultipleSharedBoxes(f"shared box {s_box} labeled inconsistently")
-    a = col_trail.steps[ci - 1].label if ci > 0 else x
-    i = row_trail.steps[ri - 1].label if ri > 0 else y
     b = col_trail.steps[ci + 1].label  # None when the successor is the empty box
     j = row_trail.steps[ri + 1].label
     r0, c0 = s_box
@@ -283,16 +215,13 @@ def check_relative_position(
     ci = col_boxes.index(s_box)
     if ri == len(row_boxes) - 1 and ci == len(col_boxes) - 1:
         raise NotAStrongIntersection(f"{s_box} is the empty box of both trails")
-    row_before = row_boxes[:ri]
-    col_after = col_boxes[ci + 1 :]
-    for r1, c1 in row_before:
-        for r2, c2 in col_after:
-            if c1 == c2 and not r1 < r2:
-                return False
-    col_before = col_boxes[:ci]
-    row_after = row_boxes[ri + 1 :]
-    for r1, c1 in col_before:
-        for r2, c2 in row_after:
-            if r1 == r2 and not c1 < c2:
-                return False
+    # Each pair is (part before S, part after S, axis of the shared line).
+    for before, after, axis in (
+        (row_boxes[:ri], col_boxes[ci + 1 :], 1),
+        (col_boxes[:ci], row_boxes[ri + 1 :], 0),
+    ):
+        for b1 in before:
+            for b2 in after:
+                if b1[axis] == b2[axis] and not b1[1 - axis] < b2[1 - axis]:
+                    return False
     return True

@@ -1,8 +1,17 @@
+import types
+
 import pytest
 
+import schensted
 from schensted import (
+    ImpossibleConfiguration,
+    InvalidResult,
+    InvariantViolation,
+    MultipleSharedBoxes,
     RenderOptions,
     Tableau,
+    TrailInvariantViolation,
+    WeakIntersectionDetected,
     enumerate_syt,
     parse_tableau,
     render_tableau,
@@ -123,6 +132,28 @@ class TestCommuteCommand:
         assert main(["commute", "--x", "1", "--y", "2"]) == 0
         assert "EQUAL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            TrailInvariantViolation,
+            WeakIntersectionDetected,
+            MultipleSharedBoxes,
+            ImpossibleConfiguration,
+            InvalidResult,
+        ],
+    )
+    def test_invariant_violation_exits_1_with_one_line(self, exc, worked_file, capsys, monkeypatch):
+        assert issubclass(exc, InvariantViolation)
+
+        def broken(t, x, y):
+            raise exc("trails cross at (1, 2)")
+
+        monkeypatch.setattr("schensted.cli.commute_check", broken)
+        assert main(["commute", "--x", "7", "--y", "8", "--file", worked_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violated: ") and "trails cross at (1, 2)" in err
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_small_sweep(self, capsys):
@@ -130,6 +161,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "failures: 0" in out
         assert "cases_total=112" in out
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--max-n", "-1"], ["--workers", "0"], ["--workers", "-2"]]
+    )
+    def test_bad_sweep_arguments(self, flags, capsys):
+        assert main(["verify", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestPackageExports:
+    def test_star_import_binds_no_module(self):
+        namespace = {}
+        exec("from schensted import *", namespace)
+        assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+        assert {"InvariantViolation", "ImpossibleConfiguration", "TrailInvariantViolation"} <= set(
+            namespace
+        )
+
+    def test_all_names_exist(self):
+        assert all(hasattr(schensted, name) for name in schensted.__all__)
 
 
 class TestRskCommand:

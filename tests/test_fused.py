@@ -30,6 +30,12 @@ class TestResolveConflict:
         out = resolve_conflict(a=2, i=1, s=5)
         assert (out.s_target, out.b_target, out.j_target) == (1, 5, 2)
 
+    def test_empty_s_places_nothing_in_one_successor(self):
+        out = resolve_conflict(a=3, i=4, s=None)
+        assert (out.s_target, out.b_target, out.j_target) == (3, 4, None)
+        out = resolve_conflict(a=3, i=2, s=None)
+        assert (out.s_target, out.b_target, out.j_target) == (2, None, 3)
+
     def test_rejects_equal_labels(self):
         with pytest.raises(LabelsNotDistinct):
             resolve_conflict(a=2, i=2, s=5)
@@ -81,6 +87,12 @@ class TestCommuteCheck:
         assert report.left == Tableau.from_rows(WORKED_RESULT)
         assert report.intersection.variant == "strong"
         assert report.intersection.configuration == "JB"
+
+    def test_report_carries_the_trails(self, worked):
+        report = commute_check(worked, WORKED_X, WORKED_Y)
+        assert (report.after_col, report.col_trail) == column_insert(WORKED_X, worked)
+        assert (report.after_row, report.row_trail) == row_insert(worked, WORKED_Y)
+        assert report.left_row_trail == row_insert(report.after_col, WORKED_Y)[1]
 
     @pytest.mark.parametrize("n", range(6))
     def test_exhaustive_commutation(self, n):

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -13,7 +15,9 @@ from schensted import (
     rsk,
     run_sweep,
 )
-from schensted.harness import INVOLUTION_NUMBERS
+from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
+
+from conftest import WORKED_X, WORKED_Y
 
 
 def brute_force_involution_count(n):
@@ -85,10 +89,36 @@ class TestRunSweep:
         assert single.variant_counts == multi.variant_counts
         assert single.configuration_counts == multi.configuration_counts
 
+    @pytest.mark.parametrize("max_n,workers", [(-1, 1), (2, 0), (2, -2)])
+    def test_bad_arguments_rejected(self, max_n, workers):
+        with pytest.raises(ValueError):
+            run_sweep(max_n, workers=workers)
+
     def test_records_are_stable_lines(self):
         lines = run_sweep(2).records()
         assert "failures=0" in lines
         assert any(line.startswith("cases_total=") for line in lines)
+
+
+class TestCheckCase:
+    def test_one_analysis_per_case(self, worked, monkeypatch):
+        # Two insertions of each kind and one classification are all a case needs.
+        counts = Counter()
+        modules = [m for name, m in sys.modules.items() if name.startswith("schensted")]
+        for name in ("row_insert", "column_insert", "classify_intersection"):
+            original = getattr(sys.modules["schensted"], name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        summary = SweepSummary()
+        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), summary)
+        assert summary.cases_total == 1
+        assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
 
 class TestRsk:

@@ -1,6 +1,10 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from schensted import (
+    ImpossibleConfiguration,
     MultipleSharedBoxes,
     NotAStrongIntersection,
     Tableau,
@@ -21,6 +25,113 @@ def trails_of(t, x, y):
     _, col_trail = column_insert(x, t)
     _, row_trail = row_insert(t, y)
     return row_trail, col_trail
+
+
+# Reference geometry: the exact rational contact finder that the integer
+# crossing test replaced.  It finds every contact point of two broken lines,
+# shares no code with classify_intersection, and does not rely on the band rule.
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
+
+
+def _on_segment(p, q, m):
+    """Whether collinear point m lies within the bounding box of segment pq."""
+    return min(p[0], q[0]) <= m[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= m[1] <= max(
+        p[1], q[1]
+    )
+
+
+def _segment_meetings(p1, p2, q1, q2):
+    """None for no contact, ``[point]`` for a point contact, ``[]`` for an overlap."""
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
+    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
+        t = Fraction(d1, d1 - d2)
+        return [(p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))]
+    touches = set()
+    for d, m, (a, b) in ((d1, p1, (q1, q2)), (d2, p2, (q1, q2)), (d3, q1, (p1, p2)), (d4, q2, (p1, p2))):
+        if d == 0 and _on_segment(a, b, m):
+            touches.add((Fraction(m[0]), Fraction(m[1])))
+    if not touches:
+        return None
+    if len(touches) > 1:
+        return []
+    return [touches.pop()]
+
+
+def _polyline_meetings(verts1, verts2):
+    """All contact points of two polylines; None means a positive-length overlap."""
+    points = set()
+    segs1 = list(zip(verts1, verts1[1:]))
+    segs2 = list(zip(verts2, verts2[1:]))
+    if not segs1 or not segs2:
+        singles, other_verts, other_segs = (
+            (verts1, verts2, segs2) if not segs1 else (verts2, verts1, segs1)
+        )
+        for v in singles:
+            if v in other_verts or any(_cross(p, q, v) == 0 and _on_segment(p, q, v) for p, q in other_segs):
+                points.add((Fraction(v[0]), Fraction(v[1])))
+        return points
+    for p1, p2 in segs1:
+        for q1, q2 in segs2:
+            if (
+                max(p1[0], p2[0]) < min(q1[0], q2[0])
+                or max(q1[0], q2[0]) < min(p1[0], p2[0])
+                or max(p1[1], p2[1]) < min(q1[1], q2[1])
+                or max(q1[1], q2[1]) < min(p1[1], p2[1])
+            ):
+                continue  # bounding boxes apart
+            met = _segment_meetings(p1, p2, q1, q2)
+            if met == []:
+                return None
+            points.update(met or ())
+    return points
+
+
+POSSIBLE_ADJACENCIES = {frozenset(p) for p in ("JB", "IJB", "AJB", "IJ", "AB")}
+
+
+def reference_outcome(row_trail, col_trail):
+    """The variant, or the exception class, implied by the rational geometry."""
+    row_boxes, col_boxes = row_trail.boxes, col_trail.boxes
+    shared = [bx for bx in row_boxes if bx in col_boxes]
+    if len(shared) > 1:
+        return MultipleSharedBoxes
+    center = lambda bx: (2 * bx[1] + 1, 2 * bx[0] + 1)  # noqa: E731
+    meetings = _polyline_meetings(
+        tuple(map(center, row_boxes)), tuple(map(center, col_boxes))
+    )
+    allowed = {(Fraction(x), Fraction(y)) for x, y in map(center, shared)}
+    if meetings is None or meetings - allowed:
+        return WeakIntersectionDetected
+    if not shared:
+        return "disjoint"
+    (r0, c0), ri, ci = shared[0], row_boxes.index(shared[0]), col_boxes.index(shared[0])
+    row_final, col_final = ri == len(row_boxes) - 1, ci == len(col_boxes) - 1
+    if row_final != col_final:
+        return MultipleSharedBoxes
+    if row_final:
+        return "shared_empty_box"
+    neighbors = (
+        ("A", col_boxes, ci - 1, (r0, c0 - 1)),
+        ("B", col_boxes, ci + 1, (r0, c0 + 1)),
+        ("I", row_boxes, ri - 1, (r0 - 1, c0)),
+        ("J", row_boxes, ri + 1, (r0 + 1, c0)),
+    )
+    adjacency = frozenset(name for name, boxes, k, box in neighbors if k >= 0 and boxes[k] == box)
+    return "strong" if adjacency in POSSIBLE_ADJACENCIES else ImpossibleConfiguration
+
+
+def band_trails(kind, width=4, max_steps=4):
+    """Every trail of at most max_steps steps with step k in line k, on a width-wide grid."""
+    for length in range(1, max_steps + 1):
+        for others in product(range(width), repeat=length):
+            boxes = [(k, o) if kind == "row" else (o, k) for k, o in enumerate(others)]
+            # A label per box, so a box shared by both trails carries one label.
+            labels = [10 * r + c + 1 for r, c in boxes[:-1]] + [None]
+            yield Trail(kind, tuple(TrailStep(b, v) for b, v in zip(boxes, labels)))
 
 
 class TestGeometricTrail:
@@ -109,6 +220,39 @@ class TestClassification:
         col_trail = Trail("column", (TrailStep((1, 0), 7), TrailStep((0, 1), None)))
         with pytest.raises(MultipleSharedBoxes):
             classify_intersection(row_trail, col_trail, 0, 1)
+
+
+    def test_band_rule_violation_raises_value_error(self):
+        # Step 1 of the row trail is in row 2, so its segment spans two row bands.
+        row_trail = Trail("row", (TrailStep((0, 1), 5), TrailStep((2, 0), None)))
+        col_trail = Trail("column", (TrailStep((3, 0), 1), TrailStep((3, 1), None)))
+        with pytest.raises(ValueError, match="step k must lie"):
+            classify_intersection(row_trail, col_trail, 0, 2)
+        # Step 1 of the column trail is back in column 0.
+        row_trail = Trail("row", (TrailStep((0, 0), None),))
+        col_trail = Trail("column", (TrailStep((0, 1), 4), TrailStep((0, 0), None)))
+        with pytest.raises(ValueError, match="step k must lie"):
+            classify_intersection(row_trail, col_trail, 0, 2)
+
+    def test_matches_rational_geometry_on_every_small_band_pair(self):
+        row_trails = list(band_trails("row"))
+        col_trails = list(band_trails("column"))
+        assert len(row_trails) * len(col_trails) == 115_600
+        seen = set()
+        for row_trail in row_trails:
+            for col_trail in col_trails:
+                expected = reference_outcome(row_trail, col_trail)
+                try:
+                    actual = classify_intersection(row_trail, col_trail, 0, 100).variant
+                except (MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration) as err:
+                    actual = type(err)
+                assert actual == expected, (row_trail, col_trail)
+                seen.add(expected)
+        # The pairs reach every outcome, so none of the checks is vacuous.
+        assert seen == {
+            "disjoint", "shared_empty_box", "strong",
+            MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration,
+        }
 
 
 class TestRelativePosition:
