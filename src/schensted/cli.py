@@ -11,6 +11,7 @@ invariant, 2 input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .fused import commute_check
@@ -114,8 +115,9 @@ def cmd_commute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    workers = min(args.workers, os.cpu_count() or 1)  # more processes than cores only wait
     try:
-        summary = run_sweep(args.max_n, workers=args.workers, seed=args.seed)
+        summary = run_sweep(args.max_n, workers=workers, seed=args.seed)
     except SweepFailure as err:
         print(f"sweep failure: {err}", file=sys.stderr)
         return 1
@@ -171,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="exhaustive sweep of all invariants")
     p_verify.add_argument("--max-n", type=int, default=7)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -42,6 +42,11 @@ class SweepFailure(AssertionError):
         super().__init__(f"{invariant} failed for {case}" + (f": {detail}" if detail else ""))
         self.case = case
         self.invariant = invariant
+        self.detail = detail
+
+    def __reduce__(self):
+        # A failure raised in a pool worker is pickled back to the parent.
+        return (type(self), (self.case, self.invariant, self.detail))
 
 
 @dataclass
@@ -93,8 +98,8 @@ def enumerate_syt(n: int) -> Iterator[Tableau]:
         rows = t.rows
         for r in range(len(rows)):
             if r == 0 or len(rows[r]) < len(rows[r - 1]):
-                yield Tableau(rows[:r] + (rows[r] + (n,),) + rows[r + 1 :])
-        yield Tableau(rows + ((n,),))
+                yield Tableau._trusted(rows[:r] + (rows[r] + (n,),) + rows[r + 1 :])
+        yield Tableau._trusted(rows + ((n,),))
 
 
 def enumerate_cases(n: int) -> Iterator[CaseDescriptor]:
@@ -163,7 +168,9 @@ def check_case(case: CaseDescriptor, rng: random.Random, summary: SweepSummary) 
     """Run every per-case invariant; raise SweepFailure on the first violation.
 
     The case is analysed once by ``commute_check``; every check reads the
-    trails, insertions and intersection from its report.
+    trails, insertions and intersection from its report.  The insertions build
+    their tableaux unchecked; the fused result and both ``slide_trail``
+    reconstructions are validated, and ``left``/``right`` must equal the fused one.
     """
     t, x, y = case.tableau, case.x, case.y
     try:
@@ -260,7 +267,7 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     for step_index, v in enumerate(word, 1):
         p, trail = row_insert(p, v)
         q_placements.append((trail.created_box, step_index))
-    return p, _apply_placements(Tableau(), q_placements)
+    return Tableau(p.rows), _apply_placements(Tableau(), q_placements)  # P validated once
 
 
 def reversal_check(n: int) -> bool:

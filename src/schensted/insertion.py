@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Literal, Optional
 
-from .tableau import BoxCoord, Label, Tableau, TableauError, transpose_rows
+from .tableau import BoxCoord, Label, Tableau, TableauError, check_label, transpose_rows
 
 TrailKind = Literal["row", "column"]
 
@@ -122,20 +122,22 @@ def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...]
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
     """Insert ``x`` by rows (T ← x), bumping upward from the first row."""
+    check_label(x)
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     steps = tuple(starmap(TrailStep, _bump(rows, x)))
-    return Tableau(tuple(rows)), Trail("row", steps)
+    return Tableau._trusted(tuple(rows)), Trail("row", steps)
 
 
 def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
     """Insert ``x`` by columns (x → T): row bumping on the columns of ``t``."""
+    check_label(x)
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
     cols = list(transpose_rows(t.rows))
     steps = tuple(TrailStep((r, c), label) for (c, r), label in _bump(cols, x))
-    return Tableau(transpose_rows(cols)), Trail("column", steps)
+    return Tableau._trusted(transpose_rows(cols)), Trail("column", steps)
 
 
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:

@@ -2,8 +2,20 @@
 
 A tableau is stored as a tuple of rows, row 0 being the first row (drawn at
 the bottom in the French convention).  Rows and columns increase strictly and
-all labels are pairwise distinct naturals.  Validation happens eagerly at
-construction; everything downstream may assume a valid tableau.
+all labels are pairwise distinct naturals.
+
+Validation runs only at the boundaries, where rows come from outside or from
+the step under test:
+
+- ``Tableau(...)``, ``Tableau.from_rows`` and ``parse_tableau``;
+- ``insertion._apply_placements``, which builds the fused result, the
+  ``slide_trail`` reconstructions and the recording tableau of ``rsk``;
+- the insertion tableau ``P`` that ``rsk`` returns, once per word;
+- the relabelled tableau of each sweep case in ``harness.enumerate_cases``;
+- the value that ``row_insert`` or ``column_insert`` inserts (``check_label``).
+
+Rows the library derives itself from a valid tableau (bumping, transposing,
+enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 """
 
 from __future__ import annotations
@@ -40,6 +52,12 @@ class DuplicateLabel(TableauError):
     pass
 
 
+def check_label(v: object) -> None:
+    """Raise TableauError unless ``v`` is a natural number (``bool`` excluded)."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise TableauError(f"label {v!r} is not a natural")
+
+
 def _validate(rows: tuple[tuple[Label, ...], ...]) -> None:
     for r, row in enumerate(rows):
         if len(row) == 0:
@@ -51,6 +69,7 @@ def _validate(rows: tuple[tuple[Label, ...], ...]) -> None:
     seen: dict[Label, BoxCoord] = {}
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
+            # check_label, inlined: a call per cell would slow validation by a third
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise TableauError(f"label {v!r} at {(r, c)} is not a natural", (r, c))
             if c > 0 and row[c - 1] >= v:
@@ -76,6 +95,13 @@ class Tableau:
         _validate(self.rows)
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[Label, ...], ...]) -> "Tableau":
+        """Wrap rows already known to be valid, skipping ``_validate``."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Label]]) -> "Tableau":
         return cls(tuple(tuple(row) for row in rows))
 
@@ -89,7 +115,7 @@ class Tableau:
 
     def transpose(self) -> "Tableau":
         """Reflect across the diagonal: box (r, c) moves to (c, r)."""
-        return Tableau(transpose_rows(self.rows))
+        return Tableau._trusted(transpose_rows(self.rows))
 
     def __contains__(self, v: Label) -> bool:
         return any(v in row for row in self.rows)

@@ -9,6 +9,7 @@ from schensted import (
     InvariantViolation,
     MultipleSharedBoxes,
     RenderOptions,
+    SweepSummary,
     Tableau,
     TrailInvariantViolation,
     WeakIntersectionDetected,
@@ -162,6 +163,19 @@ class TestVerifyCommand:
         assert "failures: 0" in out
         assert "cases_total=112" in out
 
+
+    @pytest.mark.parametrize("requested,cpus,used", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
+    def test_workers_clamped_to_cpu_count(self, requested, cpus, used, monkeypatch):
+        seen = []
+
+        def fake_sweep(max_n, workers, seed):  # starts no process
+            seen.append(workers)
+            return SweepSummary()
+
+        monkeypatch.setattr("schensted.cli.run_sweep", fake_sweep)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert main(["verify", "--max-n", "2", "--workers", str(requested)]) == 0
+        assert seen == [used]
 
     @pytest.mark.parametrize(
         "flags", [["--max-n", "-1"], ["--workers", "0"], ["--workers", "-2"]]

@@ -1,9 +1,12 @@
 import pytest
 
 from schensted import (
+    IntersectionReport,
+    InvalidResult,
     LabelsNotDistinct,
     NotAStrongIntersection,
     Tableau,
+    classify_intersection,
     column_insert,
     commute_check,
     enumerate_cases,
@@ -13,6 +16,7 @@ from schensted import (
     trail_agreement_above,
     trail_agreement_below,
 )
+from schensted.fused import _fused
 
 from conftest import WORKED_RESULT, WORKED_X, WORKED_Y
 
@@ -73,6 +77,26 @@ class TestFusedInsert:
     def test_equal_values_rejected(self, worked):
         with pytest.raises(LabelsNotDistinct):
             fused_insert(worked, 7, 7)
+
+
+class TestFusedValidation:
+    """The fused result is what is under test, so ``_fused`` always validates it."""
+
+    T = Tableau.from_rows([[1, 3], [2]])
+
+    def test_row_trail_of_another_tableau(self):
+        _, col = column_insert(4, self.T)
+        _, row = row_insert(Tableau.from_rows([[1, 3, 4, 6]]), 5)  # bumps from box (0, 3)
+        with pytest.raises(InvalidResult):
+            _fused(self.T, 4, 5, col, row, IntersectionReport("disjoint"))
+
+    def test_trail_of_another_value(self):
+        _, col = column_insert(4, self.T)
+        _, row = row_insert(self.T, 5)  # appends at (0, 2), where 0 breaks the row
+        report = classify_intersection(row, col, 4, 5)
+        assert _fused(self.T, 4, 5, col, row, report) == fused_insert(self.T, 4, 5)
+        with pytest.raises(InvalidResult):
+            _fused(self.T, 4, 0, col, row, report)
 
 
 class TestCommuteCheck:

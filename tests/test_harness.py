@@ -1,23 +1,38 @@
+import functools
+import multiprocessing
+import pickle
 import random
 import sys
 from collections import Counter
+from concurrent import futures
 from itertools import permutations
 
 import pytest
 
 from schensted import (
     DuplicateInWord,
+    RowNotIncreasing,
+    SweepFailure,
     Tableau,
     commute_check,
     enumerate_cases,
     enumerate_syt,
     reversal_check,
+    row_insert,
     rsk,
     run_sweep,
 )
+from schensted import fused, harness, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
 
 from conftest import WORKED_X, WORKED_Y
+
+
+def row_insert_reversing_row_0(t, x):
+    """A planted fault: row insertion whose trusted result has a decreasing first row."""
+    result, trail = row_insert(t, x)
+    first, *rest = result.rows
+    return Tableau._trusted((first[::-1], *rest)), trail
 
 
 def brute_force_involution_count(n):
@@ -120,8 +135,50 @@ class TestCheckCase:
         assert summary.cases_total == 1
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
+    def test_three_validations_per_case(self, worked, monkeypatch):
+        # The fused result and the two slide_trail reconstructions; the insertions
+        # build their tableaux unchecked.  (The sweep also validates each relabelled
+        # tableau, shared by the two orders of x and y.)
+        calls = []
+        original = tableau._validate
+        monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
+        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), SweepSummary())
+        assert len(calls) == 3
+
+    def test_planted_fault_in_row_insert_is_caught(self, worked, monkeypatch):
+        monkeypatch.setattr(fused, "row_insert", row_insert_reversing_row_0)
+        with pytest.raises(SweepFailure):
+            check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), SweepSummary())
+
+
+class TestSweepFailure:
+    CASE = CaseDescriptor(Tableau.from_rows([[1, 3], [2]]), 4, 5)
+
+    def test_pickle_round_trip(self):
+        err = pickle.loads(pickle.dumps(SweepFailure(self.CASE, "trail", "x")))
+        assert (err.case, err.invariant, err.detail) == (self.CASE, "trail", "x")
+        assert str(err) == str(SweepFailure(self.CASE, "trail", "x"))
+
+    def test_failure_in_pool_worker_reaches_the_caller(self, monkeypatch):
+        def failing(case, rng, summary):
+            raise SweepFailure(case, "planted", "in a worker")
+
+        monkeypatch.setattr(harness, "check_case", failing)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        with pytest.raises(SweepFailure) as exc:
+            run_sweep(2, workers=2)
+        assert exc.value.invariant == "planted" and exc.value.detail == "in a worker"
+
 
 class TestRsk:
+    def test_insertion_tableau_validated_once_per_word(self, monkeypatch):
+        monkeypatch.setattr(harness, "row_insert", row_insert_reversing_row_0)
+        with pytest.raises(RowNotIncreasing):
+            rsk([1, 2])  # P = ((2, 1),); the recording tableau Q = ((1, 2),) is valid
+
     def test_empty_word(self):
         assert rsk([]) == (Tableau(), Tableau())
 

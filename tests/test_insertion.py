@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schensted import (
+    RowNotIncreasing,
     Tableau,
+    TableauError,
     TrailInconsistentWithTableau,
     XAlreadyPresent,
     column_insert,
@@ -16,7 +18,7 @@ from schensted import (
     validate_trail,
 )
 from schensted.harness import check_modify_property
-from schensted.insertion import Trail, TrailStep
+from schensted.insertion import Trail, TrailStep, _apply_placements
 
 from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y
 
@@ -87,6 +89,25 @@ class TestColumnInsert:
     def test_already_present(self, worked):
         with pytest.raises(XAlreadyPresent):
             column_insert(13, worked)
+
+
+class TestInsertedLabel:
+    @pytest.mark.parametrize("x", [-3, True, 2.5, "4"])
+    def test_non_natural_rejected(self, worked, x):
+        with pytest.raises(TableauError):
+            row_insert(worked, x)
+        with pytest.raises(TableauError):
+            column_insert(x, worked)
+
+
+class TestApplyPlacements:
+    def test_gap_raises(self):
+        with pytest.raises(TableauError):
+            _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 3), 5)])
+
+    def test_invalid_order_raises(self):
+        with pytest.raises(RowNotIncreasing):
+            _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 2), 2)])
 
 
 class TestSlideTrail:

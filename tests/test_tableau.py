@@ -54,6 +54,44 @@ class TestConstruction:
             Tableau.from_rows([[-1, 2]])
 
 
+# Rows whose display-order reading is invalid too, so parse_tableau reports them.
+INVALID_ROWS = [
+    (ShapeNotFerrers, [[1, 2], [3, 4, 5]]),
+    (RowNotIncreasing, [[2, 1]]),
+    (ColumnNotIncreasing, [[2, 3], [1, 4], [5]]),
+    (DuplicateLabel, [[1, 2], [2]]),
+    (TableauError, [[-1, 2]]),
+]
+
+
+class TestValidationBoundaries:
+    ENTRY_POINTS = {
+        "constructor": lambda rows: Tableau(tuple(tuple(row) for row in rows)),
+        "from_rows": Tableau.from_rows,
+        "parse_tableau": lambda rows: parse_tableau(
+            "\n".join(" ".join(map(str, row)) for row in rows)
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("error,rows", INVALID_ROWS)
+    def test_every_public_entry_rejects_every_fault(self, entry, error, rows):
+        with pytest.raises(error) as exc:
+            self.ENTRY_POINTS[entry](rows)
+        assert type(exc.value) is error
+
+    def test_trusted_skips_validation(self):
+        t = Tableau._trusted(((2, 1),))
+        assert t.rows == ((2, 1),)
+        with pytest.raises(RowNotIncreasing):
+            Tableau(t.rows)
+
+    def test_trusted_equals_validated(self, worked):
+        trusted = Tableau._trusted(worked.rows)
+        assert trusted == worked and hash(trusted) == hash(worked)
+        assert worked.transpose() == Tableau(worked.transpose().rows)
+
+
 class TestAccessors:
     def test_shape(self, worked):
         assert Tableau().shape == ()
