@@ -2,10 +2,11 @@
 
 ``fused_insert`` computes (x→T)←y in a single pass: it takes the column trail
 of x→T and the row trail of T←y, both read off the *original* tableau, slides
-each label to the next box of its own trail, and resolves the conflicts that
-arise where the two trails meet.  The compositional insertions serve as the
-oracle that the fused result must match.  ``commute_check`` is the one
-analysis of a case: the lemma checks read the trails from its report.
+each label to the next box of its own trail, and lets one conflict rule
+overwrite the box where the two trails meet and its two successors.  The
+compositional insertions are the oracle the fused result must match.
+``commute_check`` is the one analysis of a case: the lemma checks read the
+trails from its report.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def resolve_conflict(a: Label, i: Label, s: Optional[Label]) -> ConflictAssignme
 def _fused(
     t: Tableau, x: Label, y: Label, col: Trail, row: Trail, report: IntersectionReport
 ) -> Tableau:
-    """Slide both trails of ``t`` at once, resolving the conflict at S."""
-    placements = _trail_placements(col, x) + _trail_placements(row, y)
+    """Slide both trails of ``t`` at once; the conflict rule overrides S, B and J."""
+    placements = dict(_trail_placements(col, x) + _trail_placements(row, y))
     if report.variant != "disjoint":
         s_box, s = report.s_box, report.s
         if s is None:  # S ends both trails: B and J are its right and upper neighbors.
@@ -79,12 +80,10 @@ def _fused(
             b_box = col.steps[col.boxes.index(s_box) + 1].box
             j_box = row.steps[row.boxes.index(s_box) + 1].box
         rule = resolve_conflict(report.a, report.i, s)
-        # Skip the conflicting placements (a→S, i→S, s→B, s→J), slide the rest.
-        placements = [(box, v) for box, v in placements if box != s_box and v != s]
         targets = ((s_box, rule.s_target), (b_box, rule.b_target), (j_box, rule.j_target))
-        placements += [(box, v) for box, v in targets if v is not None]
+        placements.update((box, v) for box, v in targets if v is not None)
     try:
-        return _apply_placements(t, placements)
+        return _apply_placements(t, placements.items())
     except TableauError as err:
         raise InvalidResult(f"fused slide produced an invalid tableau: {err}") from err
 
@@ -106,6 +105,8 @@ def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
     the report keeps both trails of T, the single insertions, and the row
     trail of (x→T)←y.  ``left`` and ``right`` share no code with the fused slide.
     """
+    if x == y:
+        raise LabelsNotDistinct(f"x and y must differ, got {x}")
     after_col, col_trail = column_insert(x, t)
     after_row, row_trail = row_insert(t, y)
     left, left_row_trail = row_insert(after_col, y)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Literal, Optional
+from operator import itemgetter
+from typing import Iterable, Literal, Optional
 
 from .tableau import BoxCoord, Label, Tableau, TableauError, check_label, transpose_rows
 
@@ -144,11 +145,14 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     """Rebuild an insertion result from its trail.
 
     Each labeled step's label moves to the next step's box and ``inserted``
-    fills the first box.  Raises TrailInconsistentWithTableau when a labeled
-    step does not match the tableau it claims to come from.
+    fills the first box.  Raises TrailInconsistentWithTableau when the trail
+    is empty, ends in a box of the tableau, or has a labeled step that does
+    not match the tableau it claims to come from.
     """
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
+    if not trail.steps or t.get(trail.created_box) is not None:
+        raise TrailInconsistentWithTableau("trail does not end in a new box")
     for step in trail.steps[:-1]:
         if t.get(step.box) != step.label:
             raise TrailInconsistentWithTableau(
@@ -162,15 +166,16 @@ def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Lab
     return list(zip(trail.boxes, (inserted,) + trail.labels))
 
 
-def _apply_placements(t: Tableau, placements: list[tuple[BoxCoord, Label]]) -> Tableau:
-    """Write each ``(box, label)`` into a copy of ``t``; the shape must stay contiguous."""
-    rows = [dict(enumerate(row)) for row in t.rows]
-    for (r, c), label in placements:
-        while len(rows) <= r:
-            rows.append({})
-        rows[r][c] = label
-    new_rows = tuple(tuple(map(row.get, range(len(row)))) for row in rows)
-    for r, row in enumerate(new_rows):
-        if not row or None in row:  # a missing column reads as None
-            raise TableauError(f"row {r} has gaps: columns {sorted(rows[r])}", (r, 0))
-    return Tableau(new_rows)
+def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) -> Tableau:
+    """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap."""
+    rows = [list(row) for row in t.rows]
+    for (r, c), label in sorted(placements, key=itemgetter(0)):
+        if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
+            rows[r][c] = label
+        elif 0 <= r < len(rows) and c == len(rows[r]):
+            rows[r].append(label)
+        elif r == len(rows) and c == 0:
+            rows.append([label])
+        else:
+            raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
+    return Tableau(tuple(map(tuple, rows)))

@@ -166,10 +166,10 @@ def parse_tableau(text: str) -> Tableau:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            rows.append(tuple(int(tok) for tok in line.split()))
-        except ValueError:
+        tokens = line.split()
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise TableauError(f"line {lineno}: labels must be decimal naturals")
+        rows.append(tuple(map(int, tokens)))
     try:
         return Tableau(tuple(rows))
     except TableauError as err:

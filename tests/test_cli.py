@@ -133,6 +133,13 @@ class TestCommuteCommand:
         assert main(["commute", "--x", "1", "--y", "2"]) == 0
         assert "EQUAL" in capsys.readouterr().out
 
+    def test_equal_values(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
+        assert main(["commute", "--x", "3", "--y", "3"]) == 2
+        assert capsys.readouterr().err == "error: x and y must differ, got 3\n"
+
     @pytest.mark.parametrize(
         "exc",
         [

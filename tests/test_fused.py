@@ -100,6 +100,10 @@ class TestFusedValidation:
 
 
 class TestCommuteCheck:
+    def test_equal_values_rejected(self, worked):
+        with pytest.raises(LabelsNotDistinct, match="x and y must differ, got 7"):
+            commute_check(worked, 7, 7)
+
     def test_empty(self):
         report = commute_check(Tableau(), 1, 2)
         assert report.all_equal

@@ -18,7 +18,7 @@ from schensted import (
     validate_trail,
 )
 from schensted.harness import check_modify_property
-from schensted.insertion import Trail, TrailStep, _apply_placements
+from schensted.insertion import Trail, TrailStep, _apply_placements, _trail_placements
 
 from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y
 
@@ -105,6 +105,44 @@ class TestApplyPlacements:
         with pytest.raises(TableauError):
             _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 3), 5)])
 
+    @pytest.mark.parametrize(
+        "box",
+        [(3, 0), (1, 2), (-1, 0)],
+        ids=["two rows above the top row", "two columns past a row's end", "negative row"],
+    )
+    def test_write_leaving_a_gap_raises(self, box):
+        with pytest.raises(TableauError) as exc:
+            _apply_placements(Tableau.from_rows([[1, 3], [2]]), [(box, 5)])
+        assert exc.value.box == box
+
+    @pytest.mark.parametrize(
+        "placements,rows",
+        [
+            ([((0, 3), 6), ((0, 2), 5)], [[1, 3, 5, 6], [2]]),
+            ([((2, 0), 6), ((1, 1), 5)], [[1, 3], [2, 5], [6]]),
+            ([((2, 1), 7), ((2, 0), 6), ((1, 1), 5)], [[1, 3], [2, 5], [6, 7]]),
+        ],
+    )
+    def test_new_boxes_in_any_order(self, placements, rows):
+        t = Tableau.from_rows([[1, 3], [2]])
+        assert _apply_placements(t, placements) == Tableau.from_rows(rows)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_placement_order_does_not_matter(self, n):
+        rng = random.Random(n)
+        for case in enumerate_cases(n):
+            t = case.tableau
+            for inserted, (result, trail) in (
+                (case.y, row_insert(t, case.y)),
+                (case.x, column_insert(case.x, t)),
+            ):
+                placements = _trail_placements(trail, inserted)
+                shuffled = rng.sample(placements, len(placements))
+                in_order = _apply_placements(t, placements)
+                assert in_order == result
+                assert _apply_placements(t, placements[::-1]) == in_order
+                assert _apply_placements(t, shuffled) == in_order
+
     def test_invalid_order_raises(self):
         with pytest.raises(RowNotIncreasing):
             _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 2), 2)])
@@ -124,6 +162,15 @@ class TestSlideTrail:
         assert intermediate.get((1, 3)) == 14
         assert intermediate.get((1, 4)) == 15
         assert intermediate == column_insert(WORKED_X, worked)[0]
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(TrailStep((0, 0), 1),), (TrailStep((0, 0), None),), ()],
+        ids=["labeled box of T", "unlabeled box of T", "empty"],
+    )
+    def test_trail_not_ending_in_a_new_box(self, steps):
+        with pytest.raises(TrailInconsistentWithTableau):
+            slide_trail(Tableau.from_rows([[1]]), Trail("row", steps), 0)
 
     def test_inconsistent_trail(self, worked):
         trail = Trail("row", (TrailStep((0, 0), 99), TrailStep((5, 0), None)))

@@ -152,6 +152,12 @@ class TestTextFormat:
         with pytest.raises(TableauError):
             parse_tableau("1 x 3")
 
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0663 \u0664", "1.0", "\u00b2", "-1"])
+    def test_only_ascii_digit_tokens(self, text):
+        with pytest.raises(TableauError) as exc:
+            parse_tableau(text)
+        assert type(exc.value) is TableauError
+
     def test_invalid_tableau(self):
         with pytest.raises(TableauError):
             parse_tableau("1 2\n3 4 5\n9")
