@@ -16,8 +16,10 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .fused import commute_check, trail_agreement
-from .insertion import _apply_placements, insert_into_row, row_insert, slide_trail, validate_trail
-from .tableau import Label, Tableau
+# row_insert is not called here; it stays importable from this module, where the
+# span tracer's tests look it up.
+from .insertion import _apply_placements, _bump, insert_into_row, row_insert, slide_trail, validate_trail
+from .tableau import Label, Tableau, check_label
 from .trails import check_relative_position
 
 # Number of standard Young tableaux with n cells, n = 0, 1, 2, ...
@@ -262,12 +264,13 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     """Insertion tableau P and recording tableau Q of a word of distinct labels."""
     if len(set(word)) != len(word):
         raise DuplicateInWord(f"word {word} has repeated labels")
-    p = Tableau()
+    rows: list[tuple[Label, ...]] = []
     q_placements = []
     for step_index, v in enumerate(word, 1):
-        p, trail = row_insert(p, v)
-        q_placements.append((trail.created_box, step_index))
-    return Tableau(p.rows), _apply_placements(Tableau(), q_placements)  # P validated once
+        check_label(v)  # before bisecting, which would compare mixed types
+        created_box = _bump(rows, v)[-1][0]
+        q_placements.append((created_box, step_index))
+    return Tableau(tuple(rows)), _apply_placements(Tableau(), q_placements)  # P validated once
 
 
 def reversal_check(n: int) -> bool:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import count, starmap
 from operator import itemgetter
 from typing import Iterable, Literal, Optional
 
-from .tableau import BoxCoord, Label, Tableau, TableauError, check_label, transpose_rows
+from .tableau import BoxCoord, Label, Tableau, TableauError, check_label
 
 TrailKind = Literal["row", "column"]
 
@@ -85,27 +85,45 @@ def validate_trail(trail: Trail) -> None:
         raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
 
 
-def _bump(lines: list[tuple[Label, ...]], x: Label) -> list[tuple[BoxCoord, Optional[Label]]]:
-    """Bump ``x`` through ``lines[0], lines[1], ...``, rewriting the lines in place.
+def _bump(
+    rows: list[tuple[Label, ...]], x: Label, by_column: bool = False
+) -> list[tuple[BoxCoord, Optional[Label]]]:
+    """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
-    Each line swaps the incoming value for its smallest larger entry, which moves
-    on; a value larger than the whole line (or past the last line) is appended.
-    Returns ``((line, position), bumped label or None)`` per step.  Row insertion
-    runs it on the rows, column insertion on the columns.
+    Row k (column k) swaps the incoming value for its smallest larger entry,
+    which moves on to row (column) k + 1; a value larger than the whole line is
+    appended to it, opening a new row past the last one.  Column k is
+    ``rows[r][k]`` for the first ``height`` rows, so the walk touches one box per
+    column and never transposes.  Returns ``((row, col), bumped label or None)``
+    per step.
     """
     steps = []
-    for k, line in enumerate(lines):
-        pos = bisect_left(line, x)
-        if pos == len(line):
-            lines[k] = line + (x,)
-            steps.append(((k, pos), None))
+    n = height = len(rows)  # n stays the row count until the bump ends
+    for k in count():
+        if by_column:
+            while height and len(rows[height - 1]) <= k:
+                height -= 1  # rows that reach column k
+            r = bisect_left(rows, x, 0, height, key=itemgetter(k))
+            c = k
+        elif k < n:
+            r = k
+            c = bisect_left(rows[k], x)
+        else:
+            r = n
+            c = 0
+        if r == n:
+            rows.append((x,))
+            steps.append(((r, c), None))
             return steps
-        steps.append(((k, pos), line[pos]))
-        lines[k] = line[:pos] + (x,) + line[pos + 1 :]
-        x = line[pos]
-    lines.append((x,))
-    steps.append(((len(lines) - 1, 0), None))
-    return steps
+        row = rows[r]
+        if c == len(row):
+            rows[r] = row + (x,)
+            steps.append(((r, c), None))
+            return steps
+        bumped = row[c]
+        steps.append(((r, c), bumped))
+        rows[r] = row[:c] + (x,) + row[c + 1 :]
+        x = bumped
 
 
 def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...], Optional[Label]]:
@@ -116,9 +134,9 @@ def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...]
     """
     if x in row:
         raise XAlreadyPresent(f"{x} already present in row")
-    lines = [row]
-    _, bumped = _bump(lines, x)[0]
-    return lines[0], bumped
+    rows = [row]
+    _, bumped = _bump(rows, x)[0]
+    return rows[0], bumped
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
@@ -132,13 +150,13 @@ def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
 
 
 def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
-    """Insert ``x`` by columns (x → T): row bumping on the columns of ``t``."""
+    """Insert ``x`` by columns (x → T), bumping rightward from the first column."""
     check_label(x)
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
-    cols = list(transpose_rows(t.rows))
-    steps = tuple(TrailStep((r, c), label) for (c, r), label in _bump(cols, x))
-    return Tableau._trusted(transpose_rows(cols)), Trail("column", steps)
+    rows = list(t.rows)
+    steps = tuple(starmap(TrailStep, _bump(rows, x, by_column=True)))
+    return Tableau._trusted(tuple(rows)), Trail("column", steps)
 
 
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
@@ -146,15 +164,15 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
 
     Each labeled step's label moves to the next step's box and ``inserted``
     fills the first box.  Raises TrailInconsistentWithTableau when the trail
-    is empty, ends in a box of the tableau, or has a labeled step that does
-    not match the tableau it claims to come from.
+    is empty, ends in a box of the tableau, or has a step before the last that
+    is unlabeled or does not match the tableau it claims to come from.
     """
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
     if not trail.steps or t.get(trail.created_box) is not None:
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     for step in trail.steps[:-1]:
-        if t.get(step.box) != step.label:
+        if step.label is None or t.get(step.box) != step.label:
             raise TrailInconsistentWithTableau(
                 f"box {step.box} does not hold label {step.label}"
             )

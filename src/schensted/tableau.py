@@ -12,7 +12,7 @@ the step under test:
   ``slide_trail`` reconstructions and the recording tableau of ``rsk``;
 - the insertion tableau ``P`` that ``rsk`` returns, once per word;
 - the relabelled tableau of each sweep case in ``harness.enumerate_cases``;
-- the value that ``row_insert`` or ``column_insert`` inserts (``check_label``).
+- each value that ``row_insert``, ``column_insert`` or ``rsk`` inserts (``check_label``).
 
 Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
@@ -115,7 +115,11 @@ class Tableau:
 
     def transpose(self) -> "Tableau":
         """Reflect across the diagonal: box (r, c) moves to (c, r)."""
-        return Tableau._trusted(transpose_rows(self.rows))
+        rows = self.rows
+        width = len(rows[0]) if rows else 0
+        return Tableau._trusted(
+            tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(width))
+        )
 
     def __contains__(self, v: Label) -> bool:
         return any(v in row for row in self.rows)
@@ -135,13 +139,6 @@ class Tableau:
         for r, row in enumerate(self.rows):
             for c in range(len(row)):
                 yield (r, c)
-
-
-def transpose_rows(rows: Sequence[tuple[Label, ...]]) -> tuple[tuple[Label, ...], ...]:
-    """The columns of a Ferrers-shaped list of lines, each as a tuple."""
-    if not rows:
-        return ()
-    return tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(len(rows[0])))
 
 
 def conjugate(shape: Shape) -> Shape:

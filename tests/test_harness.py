@@ -14,6 +14,7 @@ from schensted import (
     RowNotIncreasing,
     SweepFailure,
     Tableau,
+    TableauError,
     commute_check,
     enumerate_cases,
     enumerate_syt,
@@ -24,6 +25,7 @@ from schensted import (
 )
 from schensted import fused, harness, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
+from schensted.insertion import _bump
 
 from conftest import WORKED_X, WORKED_Y
 
@@ -33,6 +35,13 @@ def row_insert_reversing_row_0(t, x):
     result, trail = row_insert(t, x)
     first, *rest = result.rows
     return Tableau._trusted((first[::-1], *rest)), trail
+
+
+def bump_reversing_row_0(rows, x, by_column=False):
+    """A planted fault: a bump that leaves the first row of the row list decreasing."""
+    steps = _bump(rows, x, by_column)
+    rows[0] = rows[0][::-1]
+    return steps
 
 
 def brute_force_involution_count(n):
@@ -175,7 +184,7 @@ class TestSweepFailure:
 
 class TestRsk:
     def test_insertion_tableau_validated_once_per_word(self, monkeypatch):
-        monkeypatch.setattr(harness, "row_insert", row_insert_reversing_row_0)
+        monkeypatch.setattr(harness, "_bump", bump_reversing_row_0)
         with pytest.raises(RowNotIncreasing):
             rsk([1, 2])  # P = ((2, 1),); the recording tableau Q = ((1, 2),) is valid
 
@@ -195,6 +204,23 @@ class TestRsk:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateInWord):
             rsk([1, 2, 1])
+
+    @pytest.mark.parametrize("word", [[1, "a"], [-1], [True], [1.5, 2]], ids=repr)
+    def test_non_natural_label_rejected(self, word):
+        with pytest.raises(TableauError):
+            rsk(word)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_row_insertion_one_value_at_a_time(self, n):
+        for w in permutations(range(1, n + 1)):
+            p, q_rows = Tableau(), []
+            for step_index, v in enumerate(w, 1):
+                p, trail = row_insert(p, v)
+                r = trail.created_box[0]
+                if r == len(q_rows):
+                    q_rows.append([])
+                q_rows[r].append(step_index)
+            assert rsk(list(w)) == (p, Tableau.from_rows(q_rows))
 
     @pytest.mark.parametrize("n", range(6))
     def test_shapes_agree_and_q_is_standard(self, n):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from schensted import (
     enumerate_cases,
     insert_into_row,
     row_insert,
+    rsk,
     slide_trail,
     validate_trail,
 )
@@ -176,6 +178,13 @@ class TestSlideTrail:
         trail = Trail("row", (TrailStep((0, 0), 99), TrailStep((5, 0), None)))
         with pytest.raises(TrailInconsistentWithTableau):
             slide_trail(worked, trail, 7)
+        # An unlabeled step before the last, off the tableau: a trail fault, not a tableau fault.
+        for trail in (
+            Trail("row", (TrailStep((0, 1), None), TrailStep((0, 2), None))),
+            Trail("column", (TrailStep((1, 0), None), TrailStep((2, 0), None))),
+        ):
+            with pytest.raises(TrailInconsistentWithTableau):
+                slide_trail(Tableau.from_rows([[1]]), trail, 0)
 
     @pytest.mark.parametrize("n", range(5))
     def test_reconstructs_both_insertions_exhaustively(self, n):
@@ -213,11 +222,34 @@ class TestTrailInvariants:
                 assert bumped == step.label
 
 
+def enumerated_insertions(n):
+    return [(case.tableau, case.x) for case in enumerate_cases(n)]
+
+
+def random_large_insertions(seed, cells=200, values=25):
+    """RSK tableau of a random word of even labels, with odd values to insert.
+
+    The values include one below and one above every label, so the column walk
+    runs through the whole first row and opens a new row at the top.
+    """
+    rng = random.Random(seed)
+    labels = range(2, 8 * cells + 2, 2)
+    p, _ = rsk(rng.sample(labels, cells))
+    xs = [1, 8 * cells + 1] + rng.sample(range(3, 8 * cells, 2), values - 2)
+    return [(p, x) for x in xs]
+
+
 class TestTransposeDuality:
-    @pytest.mark.parametrize("n", range(5))
-    def test_column_insert_is_conjugated_row_insert(self, n):
-        for case in enumerate_cases(n):
-            t, x = case.tableau, case.x
+    @pytest.mark.parametrize(
+        "insertions",
+        [pytest.param(partial(enumerated_insertions, n), id=str(n)) for n in range(5)]
+        + [
+            pytest.param(partial(random_large_insertions, seed), id=f"rsk-200-cells-seed-{seed}")
+            for seed in (1, 2, 3)
+        ],
+    )
+    def test_column_insert_is_conjugated_row_insert(self, insertions):
+        for t, x in insertions():
             ct_tab, ct = column_insert(x, t)
             rt_tab, rt = row_insert(t.transpose(), x)
             assert ct_tab == rt_tab.transpose()
