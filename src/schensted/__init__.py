@@ -60,7 +60,6 @@ from .tableau import (
     parse_tableau,
 )
 from .trails import (
-    GeometricTrail,
     ImpossibleConfiguration,
     IntersectionReport,
     MultipleSharedBoxes,
@@ -68,7 +67,6 @@ from .trails import (
     WeakIntersectionDetected,
     check_relative_position,
     classify_intersection,
-    geometric_trail,
 )
 
 __all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _types.ModuleType)]

@@ -40,9 +40,7 @@ def _render_options(args: argparse.Namespace) -> RenderOptions:
 
 def _add_io_flags(parser: argparse.ArgumentParser, annotate: bool = True) -> None:
     parser.add_argument("--file", default="-", help="tableau file (default: stdin)")
-    parser.add_argument(
-        "--convention", choices=("french", "english"), default="french"
-    )
+    parser.add_argument("--convention", choices=("french", "english"), default="french")
     parser.add_argument("--format", choices=("ascii", "latex"), default="ascii")
     if annotate:
         parser.add_argument("--annotate", choices=("none", "trails"), default="none")

@@ -83,7 +83,7 @@ def _fused(
         targets = ((s_box, rule.s_target), (b_box, rule.b_target), (j_box, rule.j_target))
         placements.update((box, v) for box, v in targets if v is not None)
     try:
-        return _apply_placements(t, placements.items())
+        return _apply_placements(t, placements)
     except TableauError as err:
         raise InvalidResult(f"fused slide produced an invalid tableau: {err}") from err
 

@@ -10,12 +10,12 @@ inserted value into the first box (see :func:`slide_trail`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import count, starmap
+from dataclasses import dataclass, field
+from itertools import count
 from operator import itemgetter
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, NamedTuple, Optional
 
-from .tableau import BoxCoord, Label, Tableau, TableauError, check_label
+from .tableau import BoxCoord, Label, Tableau, TableauError, _check_writes, check_label
 
 TrailKind = Literal["row", "column"]
 
@@ -36,8 +36,7 @@ class TrailInvariantViolation(InvariantViolation):
     """A produced trail breaks one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class TrailStep:
+class TrailStep(NamedTuple):
     box: BoxCoord
     label: Optional[Label]  # None only for the final, newly created box
 
@@ -46,15 +45,14 @@ class TrailStep:
 class Trail:
     kind: TrailKind
     steps: tuple[TrailStep, ...]
+    boxes: tuple[BoxCoord, ...] = field(init=False, repr=False, compare=False)
+    labels: tuple[Label, ...] = field(init=False, repr=False, compare=False)  # final box excluded
 
-    @property
-    def boxes(self) -> tuple[BoxCoord, ...]:
-        return tuple(s.box for s in self.steps)
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        """Labels of the bumped boxes, in trail order (final box excluded)."""
-        return tuple(s.label for s in self.steps[:-1])
+    def __post_init__(self) -> None:
+        # Built once: read many times per case, and a cached_property costs more.
+        boxes, labels = zip(*self.steps) if self.steps else ((), ())
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "labels", labels[:-1])
 
     @property
     def created_box(self) -> BoxCoord:
@@ -145,7 +143,7 @@ def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
-    steps = tuple(starmap(TrailStep, _bump(rows, x)))
+    steps = tuple(map(TrailStep._make, _bump(rows, x)))
     return Tableau._trusted(tuple(rows)), Trail("row", steps)
 
 
@@ -155,7 +153,7 @@ def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
     if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
-    steps = tuple(starmap(TrailStep, _bump(rows, x, by_column=True)))
+    steps = tuple(map(TrailStep._make, _bump(rows, x, by_column=True)))
     return Tableau._trusted(tuple(rows)), Trail("column", steps)
 
 
@@ -185,9 +183,13 @@ def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Lab
 
 
 def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) -> Tableau:
-    """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap."""
+    """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap.
+
+    A later placement to the same box wins; only what the writes can break is checked.
+    """
     rows = [list(row) for row in t.rows]
-    for (r, c), label in sorted(placements, key=itemgetter(0)):
+    written = sorted(dict(placements).items(), key=itemgetter(0))
+    for (r, c), label in written:
         if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
             rows[r][c] = label
         elif 0 <= r < len(rows) and c == len(rows[r]):
@@ -196,4 +198,5 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
             rows.append([label])
         else:
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
-    return Tableau(tuple(map(tuple, rows)))
+    _check_writes(t, rows, written)
+    return Tableau._trusted(tuple(map(tuple, rows)))

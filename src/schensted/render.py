@@ -23,37 +23,27 @@ class RenderOptions:
 
 
 def _cell_texts(
-    t: Tableau,
-    row_trail: Optional[Trail],
-    col_trail: Optional[Trail],
-    fmt: str,
+    t: Tableau, row_trail: Optional[Trail], col_trail: Optional[Trail], fmt: str
 ) -> dict[BoxCoord, str]:
     row_boxes = set(row_trail.boxes) if row_trail else set()
     col_boxes = set(col_trail.boxes) if col_trail else set()
+    latex = (r"\emptyset", r"\underline{%s}", r"\mid\!\!%s")
+    empty, under, bar = latex if fmt == "latex" else ("*", "%s_", "|%s")  # new box, trail marks
     cells: dict[BoxCoord, str] = {}
     for box in set(t.boxes()) | row_boxes | col_boxes:
         label = t.get(box)
-        if fmt == "latex":
-            text = str(label) if label is not None else r"\emptyset"
-            if box in row_boxes:
-                text = r"\underline{%s}" % text
-            if box in col_boxes:
-                text = r"\mid\!\!%s" % text
-        else:
-            text = str(label) if label is not None else "*"
-            if box in row_boxes:
-                text = text + "_"
-            if box in col_boxes:
-                text = "|" + text
+        text = str(label) if label is not None else empty
+        if box in row_boxes:
+            text = under % text
+        if box in col_boxes:
+            text = bar % text
         cells[box] = text
     return cells
 
 
 def render_tableau(
-    t: Tableau,
-    options: RenderOptions = RenderOptions(),
-    row_trail: Optional[Trail] = None,
-    col_trail: Optional[Trail] = None,
+    t: Tableau, options: RenderOptions = RenderOptions(),
+    row_trail: Optional[Trail] = None, col_trail: Optional[Trail] = None,
 ) -> str:
     """Render a tableau; the result of the plain ascii form parses back."""
     if options.annotate == "none":

@@ -8,8 +8,8 @@ Validation runs only at the boundaries, where rows come from outside or from
 the step under test:
 
 - ``Tableau(...)``, ``Tableau.from_rows`` and ``parse_tableau``;
-- ``insertion._apply_placements``, which builds the fused result, the
-  ``slide_trail`` reconstructions and the recording tableau of ``rsk``;
+- ``insertion._apply_placements``, only at the boxes it writes: the fused
+  result, the ``slide_trail`` reconstructions and ``rsk``'s recording tableau;
 - the insertion tableau ``P`` that ``rsk`` returns, once per word;
 - the relabelled tableau of each sweep case in ``harness.enumerate_cases``;
 - each value that ``row_insert``, ``column_insert`` or ``rsk`` inserts (``check_label``).
@@ -63,9 +63,7 @@ def _validate(rows: tuple[tuple[Label, ...], ...]) -> None:
         if len(row) == 0:
             raise ShapeNotFerrers(f"row {r} is empty", (r, 0))
         if r > 0 and len(row) > len(rows[r - 1]):
-            raise ShapeNotFerrers(
-                f"row {r} is longer than row {r - 1}", (r, len(rows[r - 1]))
-            )
+            raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, len(rows[r - 1])))
     seen: dict[Label, BoxCoord] = {}
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
@@ -73,16 +71,52 @@ def _validate(rows: tuple[tuple[Label, ...], ...]) -> None:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise TableauError(f"label {v!r} at {(r, c)} is not a natural", (r, c))
             if c > 0 and row[c - 1] >= v:
-                raise RowNotIncreasing(
-                    f"row {r} not strictly increasing at column {c}", (r, c)
-                )
+                raise RowNotIncreasing(f"row {r} not strictly increasing at column {c}", (r, c))
             if r > 0 and rows[r - 1][c] >= v:
-                raise ColumnNotIncreasing(
-                    f"column {c} not strictly increasing at row {r}", (r, c)
-                )
+                raise ColumnNotIncreasing(f"column {c} not strictly increasing at row {r}", (r, c))
             if v in seen:
                 raise DuplicateLabel(f"label {v} appears at {seen[v]} and {(r, c)}", (r, c))
             seen[v] = (r, c)
+
+
+def _check_writes(
+    t: "Tableau", rows: list[list[Label]], written: list[tuple[BoxCoord, Label]]
+) -> None:
+    """Check ``rows``: the valid ``t`` with each box of ``written`` set once, rows grown to fit.
+
+    ``rows`` is a tableau exactly when each written box is ordered against
+    its left, right, lower and upper neighbours and, above row 0, has a lower
+    neighbour, and the written labels are distinct naturals, those new to
+    ``t`` (not the old label of an overwritten box) absent from ``t``.  This
+    uses nothing of why the labels were written: two adjacent boxes not
+    written are adjacent in ``t``; a row longer than the row below ends in a
+    written box outside ``t`` with no lower neighbour; and a written label
+    also found at a box not written is that box's label in ``t``, so, ``t``'s
+    labels being distinct, no overwritten box's old label: it is new.
+    """
+    old = t.rows
+    labels, overwritten = set(), set()
+    for (r, c), v in written:
+        if type(v) is not int:
+            check_label(v)  # before hashing or comparing it
+        labels.add(v)
+        if r < len(old) and c < len(old[r]):
+            overwritten.add(old[r][c])
+    if len(labels) != len(written):
+        raise DuplicateLabel("a label is written twice")
+    for v in labels - overwritten:
+        check_label(v)
+        if v in t:
+            raise DuplicateLabel(f"written label {v} is already in the tableau")
+    for (r, c), v in written:
+        row = rows[r]
+        if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
+            raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
+        if r and c >= len(rows[r - 1]):
+            raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
+        above = rows[r + 1] if r + 1 < len(rows) else ()
+        if r and rows[r - 1][c] >= v or c < len(above) and v >= above[c]:
+            raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
 
 
 @dataclass(frozen=True)

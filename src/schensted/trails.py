@@ -54,25 +54,9 @@ class NotAStrongIntersection(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeometricTrail:
-    """Polyline through the trail's box centers, in half-box integer units."""
-
-    vertices: tuple[Point, ...]
-
-    @property
-    def centers(self) -> tuple[tuple[float, float], ...]:
-        """Centers as (col + 0.5, row + 0.5) pairs, for display."""
-        return tuple((x / 2, y / 2) for x, y in self.vertices)
-
-
 def box_center(box: BoxCoord) -> Point:
     r, c = box
     return (2 * c + 1, 2 * r + 1)
-
-
-def geometric_trail(trail: Trail) -> GeometricTrail:
-    return GeometricTrail(tuple(box_center(s.box) for s in trail.steps))
 
 
 @dataclass(frozen=True)
@@ -185,15 +169,8 @@ def classify_intersection(
     if configuration is None:
         raise ImpossibleConfiguration(f"adjacency {sorted(adjacency)} around {s_box}")
     return IntersectionReport(
-        "strong",
-        s_box=s_box,
-        s=s,
-        a=a,
-        b=b,
-        i=i,
-        j=j,
-        adjacency=frozenset(adjacency),
-        configuration=configuration,
+        "strong", s_box=s_box, s=s, a=a, b=b, i=i, j=j,
+        adjacency=frozenset(adjacency), configuration=configuration,
     )
 
 

@@ -23,7 +23,7 @@ from schensted import (
     rsk,
     run_sweep,
 )
-from schensted import fused, harness, tableau
+from schensted import fused, harness, insertion, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
 from schensted.insertion import _bump
 
@@ -145,14 +145,18 @@ class TestCheckCase:
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
     def test_three_validations_per_case(self, worked, monkeypatch):
-        # The fused result and the two slide_trail reconstructions; the insertions
-        # build their tableaux unchecked.  (The sweep also validates each relabelled
-        # tableau, shared by the two orders of x and y.)
-        calls = []
-        original = tableau._validate
-        monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
+        # The fused result and the two slide_trail reconstructions, each checked
+        # locally; the insertions build their tableaux unchecked, and no full
+        # validation runs.  (The sweep also validates each relabelled tableau,
+        # shared by the two orders of x and y.)
+        full, local = [], []
+        original_full, original_local = tableau._validate, tableau._check_writes
+        monkeypatch.setattr(tableau, "_validate", lambda rows: full.append(rows) or original_full(rows))
+        monkeypatch.setattr(
+            insertion, "_check_writes", lambda *args: local.append(args) or original_local(*args)
+        )
         check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), SweepSummary())
-        assert len(calls) == 3
+        assert (len(full), len(local)) == (0, 3)
 
     def test_planted_fault_in_row_insert_is_caught(self, worked, monkeypatch):
         monkeypatch.setattr(fused, "row_insert", row_insert_reversing_row_0)

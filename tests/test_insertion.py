@@ -2,7 +2,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schensted import (
@@ -148,6 +148,91 @@ class TestApplyPlacements:
     def test_invalid_order_raises(self):
         with pytest.raises(RowNotIncreasing):
             _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 2), 2)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_local_check_agrees_with_full_validation(self, data):
+        t, placements = data.draw(placements_with_faults())
+        try:
+            expected = placed_naively(t, placements)
+        except TableauError:
+            expected = None
+        try:
+            got = _apply_placements(t, placements)
+        except TableauError:  # any other exception fails the test
+            got = None
+        assert got == expected
+
+
+def placed_naively(t, placements):
+    """Every box of ``t`` updated by the placements, later ones winning, then ``Tableau(...)``."""
+    cells = {(r, c): v for r, row in enumerate(t.rows) for c, v in enumerate(row)}
+    cells.update(placements)
+    if any(r < 0 or c < 0 for r, c in cells):
+        raise TableauError("negative box")
+    rows = []
+    for r in range(1 + max((r for r, _ in cells), default=-1)):
+        width = sum(1 for rr, _ in cells if rr == r)
+        if any((r, c) not in cells for c in range(width)):
+            raise TableauError(f"gap in row {r}")
+        rows.append(tuple(cells[r, c] for c in range(width)))
+    return Tableau(tuple(rows))
+
+
+FAULTS = ("none", "gap", "order", "ferrers", "twice", "untouched", "negative", "random")
+
+
+@st.composite
+def placements_with_faults(draw):
+    """A valid tableau and placements: a trail slide with one planted fault, or random ones.
+
+    The boxes range over the cells, the end of every row (an outer corner, or
+    a Ferrers break where the row below is no longer) and the first box of the
+    next row; the planted faults are a gap, an order break next to a written
+    box, a Ferrers break, a label written twice, a duplicate of an untouched
+    label and a negative label.
+    """
+    t, _ = rsk(draw(st.lists(st.integers(0, 60), unique=True, min_size=2, max_size=16)))
+    rows = t.rows
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    ends = [(r, len(row)) for r, row in enumerate(rows)] + [(len(rows), 0)]
+    label = st.integers(-3, 64)
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "random":
+        boxes = st.sampled_from(cells + ends)
+        return t, draw(st.lists(st.tuples(boxes, label), max_size=6))
+    value = draw(st.integers(0, 64).filter(lambda v: v not in t))
+    insert = draw(st.sampled_from([lambda: row_insert(t, value), lambda: column_insert(value, t)]))
+    placements = _trail_placements(insert()[1], value)
+    k = draw(st.integers(0, len(placements) - 1))
+    box = placements[k][0]
+    fresh = draw(label.filter(lambda v: v >= 0 and v != value and v not in t))
+    if fault == "gap":
+        gaps = [(r, len(row) + 1) for r, row in enumerate(rows)] + [(len(rows) + 1, 0), (-1, 0)]
+        placements.append((draw(st.sampled_from(gaps)), fresh))
+    elif fault == "order":  # the box's label pushed onto or past a neighbour's not written
+        r, c = box
+        written = {b for b, _ in placements}
+        sides = [
+            (near, sign)
+            for near, sign in (((r, c - 1), -1), ((r, c + 1), 1), ((r - 1, c), -1), ((r + 1, c), 1))
+            if t.get(near) is not None and near not in written
+        ]
+        if sides:
+            near, sign = draw(st.sampled_from(sides))
+            placements[k] = (box, t.get(near) + sign * draw(st.integers(0, 2)))
+    elif fault == "ferrers":
+        placements.append((draw(st.sampled_from(ends)), fresh))
+    elif fault == "twice":
+        placements.append((draw(st.sampled_from(cells + ends)), placements[k][1]))
+    elif fault == "untouched":
+        written = {b for b, _ in placements}
+        untouched = [t.get(b) for b in cells if b not in written]
+        if untouched:
+            placements[k] = (box, draw(st.sampled_from(untouched)))
+    elif fault == "negative":
+        placements[k] = (box, draw(st.integers(-3, -1)))
+    return t, placements
 
 
 class TestSlideTrail:

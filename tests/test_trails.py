@@ -13,10 +13,10 @@ from schensted import (
     classify_intersection,
     column_insert,
     enumerate_cases,
-    geometric_trail,
     row_insert,
 )
 from schensted.insertion import Trail, TrailStep
+from schensted.trails import box_center
 
 from conftest import WORKED_X, WORKED_Y
 
@@ -136,22 +136,16 @@ def band_trails(kind, width=4, max_steps=4):
 
 class TestGeometricTrail:
     def test_single_step(self):
-        g = geometric_trail(Trail("row", (TrailStep((0, 0), None),)))
-        assert g.centers == ((0.5, 0.5),)
+        trail = Trail("row", (TrailStep((0, 0), None),))
+        assert tuple(map(box_center, trail.boxes)) == ((1, 1),)
 
     def test_worked_example_row_trail(self, worked):
         _, trail = row_insert(worked, WORKED_Y)
-        boxes = [(0, 3), (1, 2), (2, 1), (3, 1), (4, 1), (5, 0)]
-        assert geometric_trail(trail).centers == tuple(
-            (c + 0.5, r + 0.5) for r, c in boxes
-        )
+        assert trail.boxes == ((0, 3), (1, 2), (2, 1), (3, 1), (4, 1), (5, 0))
 
     def test_worked_example_column_trail(self, worked):
         _, trail = column_insert(WORKED_X, worked)
-        boxes = [(3, 0), (2, 1), (2, 2), (1, 3), (1, 4)]
-        assert geometric_trail(trail).centers == tuple(
-            (c + 0.5, r + 0.5) for r, c in boxes
-        )
+        assert trail.boxes == ((3, 0), (2, 1), (2, 2), (1, 3), (1, 4))
 
 
 class TestClassification:
