@@ -171,8 +171,8 @@ def check_case(case: CaseDescriptor, rng: random.Random, summary: SweepSummary) 
 
     The case is analysed once by ``commute_check``; every check reads the
     trails, insertions and intersection from its report.  The insertions build
-    their tableaux unchecked; the fused result and both ``slide_trail``
-    reconstructions are validated, and ``left``/``right`` must equal the fused one.
+    their tableaux unchecked, the fused result and both ``slide_trail`` results
+    are checked where written, and ``left``/``right`` must equal the fused one.
     """
     t, x, y = case.tableau, case.x, case.y
     try:

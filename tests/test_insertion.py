@@ -149,7 +149,7 @@ class TestApplyPlacements:
         with pytest.raises(RowNotIncreasing):
             _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 2), 2)])
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_local_check_agrees_with_full_validation(self, data):
         t, placements = data.draw(placements_with_faults())
@@ -179,59 +179,85 @@ def placed_naively(t, placements):
     return Tableau(tuple(rows))
 
 
-FAULTS = ("none", "gap", "order", "ferrers", "twice", "untouched", "negative", "random")
+# Per order fault: the offset of the neighbour whose label is passed, that of the
+# neighbour which must be absent for the fault to show there alone, and the direction.
+SIDES = {
+    "left": ((0, -1), (-1, 0), -1),
+    "right": ((0, 1), (1, 0), 1),
+    "lower": ((-1, 0), (0, -1), -1),
+    "upper": ((1, 0), (0, 1), 1),
+}
+FAULTS = (
+    "none", "gap", *SIDES, "ferrers", "twice", "untouched",
+    "negative", "float", "not a number", "rewritten", "random",
+)
 
 
 @st.composite
 def placements_with_faults(draw):
     """A valid tableau and placements: a trail slide with one planted fault, or random ones.
 
-    The boxes range over the cells, the end of every row (an outer corner, or
-    a Ferrers break where the row below is no longer) and the first box of the
-    next row; the planted faults are a gap, an order break next to a written
-    box, a Ferrers break, a label written twice, a duplicate of an untouched
-    label and a negative label.
+    The tableau has even labels, so an odd label breaks the order only against
+    the neighbour it is written next to.  Random placements go to the cells,
+    the end of every row (an outer corner, or a Ferrers break) and the first
+    box of the next row.  The planted faults are a gap; an order break against
+    each of the four neighbours of a written box; a Ferrers break; a label
+    written twice; a duplicate of an untouched label; a negative label; a
+    float equal to the label it overwrites; a bool or a string; and a bad
+    placement that a later one to the same box replaces, which is no fault.
+    Most are planted where no other rule is broken, so each rule is tested alone.
     """
-    t, _ = rsk(draw(st.lists(st.integers(0, 60), unique=True, min_size=2, max_size=16)))
+    t, _ = rsk(draw(st.permutations(range(0, 2 * draw(st.integers(2, 16)), 2))))
     rows = t.rows
     cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
     ends = [(r, len(row)) for r, row in enumerate(rows)] + [(len(rows), 0)]
-    label = st.integers(-3, 64)
     fault = draw(st.sampled_from(FAULTS))
     if fault == "random":
-        boxes = st.sampled_from(cells + ends)
-        return t, draw(st.lists(st.tuples(boxes, label), max_size=6))
-    value = draw(st.integers(0, 64).filter(lambda v: v not in t))
+        placement = st.tuples(st.sampled_from(cells + ends), st.integers(-3, 33))
+        return t, draw(st.lists(placement, max_size=6))
+    value = draw(st.integers(0, 16).map(lambda v: 2 * v + 1))
     insert = draw(st.sampled_from([lambda: row_insert(t, value), lambda: column_insert(value, t)]))
     placements = _trail_placements(insert()[1], value)
-    k = draw(st.integers(0, len(placements) - 1))
-    box = placements[k][0]
-    fresh = draw(label.filter(lambda v: v >= 0 and v != value and v not in t))
+    written = {b for b, _ in placements}
+    occupied = written.union(cells)
+    last = placements[-1][0]
+    above_all = max(t.entries()) + 1  # odd, so not in the tableau
     if fault == "gap":
         gaps = [(r, len(row) + 1) for r, row in enumerate(rows)] + [(len(rows) + 1, 0), (-1, 0)]
-        placements.append((draw(st.sampled_from(gaps)), fresh))
-    elif fault == "order":  # the box's label pushed onto or past a neighbour's not written
-        r, c = box
-        written = {b for b, _ in placements}
-        sides = [
-            (near, sign)
-            for near, sign in (((r, c - 1), -1), ((r, c + 1), 1), ((r - 1, c), -1), ((r + 1, c), 1))
-            if t.get(near) is not None and near not in written
+        placements.append((draw(st.sampled_from(gaps)), above_all))
+    elif fault in SIDES:
+        (dr, dc), (rr, rc), sign = SIDES[fault]
+        beside = [
+            ((r, c), (r + dr, c + dc))
+            for r, c in sorted(occupied)
+            if (r + rr, c + rc) not in occupied
         ]
-        if sides:
-            near, sign = draw(st.sampled_from(sides))
-            placements[k] = (box, t.get(near) + sign * draw(st.integers(0, 2)))
-    elif fault == "ferrers":
-        placements.append((draw(st.sampled_from(ends)), fresh))
-    elif fault == "twice":
-        placements.append((draw(st.sampled_from(cells + ends)), placements[k][1]))
-    elif fault == "untouched":
-        written = {b for b, _ in placements}
+        beside = [(b, near) for b, near in beside if near not in written and near in cells]
+        if beside:
+            b, near = draw(st.sampled_from(beside))
+            placements.append((b, t.get(near) + sign))
+    elif fault == "ferrers":  # a row above row 0 filled to one box past the row below
+        slid = [len(row) for row in rows] + [0, 0]
+        slid[last[0]] += 1
+        r = draw(st.integers(1, len(rows) + (last[0] == len(rows))))
+        for i, c in enumerate(range(slid[r], slid[r - 1] + 1)):
+            placements.append(((r, c), above_all + 2 * i))
+    elif fault == "twice":  # at the created box and at another end of a row, in order at both
+        placements.append((last, above_all))
+        placements.append((draw(st.sampled_from([b for b in ends if b != last])), above_all))
+    elif fault == "untouched":  # the largest, at the created box, where it is likely in order
         untouched = [t.get(b) for b in cells if b not in written]
         if untouched:
-            placements[k] = (box, draw(st.sampled_from(untouched)))
-    elif fault == "negative":
-        placements[k] = (box, draw(st.integers(-3, -1)))
+            placements.append((last, max(untouched)))
+    elif fault == "negative":  # where it is in order
+        placements.append(((0, 0), -1))
+    elif fault in ("float", "not a number"):  # equal to the label it overwrites, if it can be
+        b = draw(st.sampled_from([b for b in cells if b not in written] or cells))
+        v = t.get(b)
+        bad = float(v) if fault == "float" else draw(st.sampled_from([v == 0, str(v)]))
+        placements.append((b, bad))
+    elif fault == "rewritten":
+        placements.insert(0, (draw(st.sampled_from(sorted(written))), -1))
     return t, placements
 
 
