@@ -97,17 +97,17 @@ def _check_writes(
     old = t.rows
     labels, overwritten = set(), set()
     for (r, c), v in written:
-        if type(v) is not int:
+        if type(v) is not int or v < 0:
             check_label(v)  # before hashing or comparing it
         labels.add(v)
         if r < len(old) and c < len(old[r]):
             overwritten.add(old[r][c])
     if len(labels) != len(written):
         raise DuplicateLabel("a label is written twice")
-    for v in labels - overwritten:
-        check_label(v)
-        if v in t:
-            raise DuplicateLabel(f"written label {v} is already in the tableau")
+    new = labels - overwritten
+    for row in old:
+        if not new.isdisjoint(row):
+            raise DuplicateLabel(f"written labels {sorted(new.intersection(row))} are in the tableau")
     for (r, c), v in written:
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
