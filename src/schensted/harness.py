@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from .fused import commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
 # span tracer's tests look it up.
-from .insertion import _apply_placements, _bump, insert_into_row, row_insert, slide_trail, validate_trail
+from .insertion import _bump, insert_into_row, row_insert, slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import check_relative_position
 
@@ -264,13 +264,15 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     """Insertion tableau P and recording tableau Q of a word of distinct labels."""
     if len(set(word)) != len(word):
         raise DuplicateInWord(f"word {word} has repeated labels")
-    rows: list[tuple[Label, ...]] = []
-    q_placements = []
+    rows: list[list[Label]] = []
+    q_rows: list[list[int]] = []
     for step_index, v in enumerate(word, 1):
         check_label(v)  # before bisecting, which would compare mixed types
-        created_box = _bump(rows, v)[-1][0]
-        q_placements.append((created_box, step_index))
-    return Tableau(tuple(rows)), _apply_placements(Tableau(), q_placements)  # P validated once
+        r = _bump(rows, v)[-1][0][0]  # the row of the created box
+        if r == len(q_rows):
+            q_rows.append([])
+        q_rows[r].append(step_index)
+    return Tableau(tuple(map(tuple, rows))), Tableau(tuple(map(tuple, q_rows)))  # each validated once
 
 
 def reversal_check(n: int) -> bool:

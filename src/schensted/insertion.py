@@ -84,16 +84,16 @@ def validate_trail(trail: Trail) -> None:
 
 
 def _bump(
-    rows: list[tuple[Label, ...]], x: Label, by_column: bool = False
+    rows: list[list[Label] | tuple[Label, ...]], x: Label, by_column: bool = False
 ) -> list[tuple[BoxCoord, Optional[Label]]]:
     """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
     Row k (column k) swaps the incoming value for its smallest larger entry,
-    which moves on to row (column) k + 1; a value larger than the whole line is
-    appended to it, opening a new row past the last one.  Column k is
-    ``rows[r][k]`` for the first ``height`` rows, so the walk touches one box per
-    column and never transposes.  Returns ``((row, col), bumped label or None)``
-    per step.
+    which moves on to row (column) k + 1; a larger value is appended, past the
+    last row opening a new one.  Column k is ``rows[r][k]`` for the first
+    ``height`` rows: one box per column, no transposing.  Rows are written as
+    lists, a tuple row copied on its first write; rows not written stay as they
+    are.  Returns ``((row, col), bumped label or None)`` per step.
     """
     steps = []
     n = height = len(rows)  # n stays the row count until the bump ends
@@ -110,17 +110,17 @@ def _bump(
             r = n
             c = 0
         if r == n:
-            rows.append((x,))
-            steps.append(((r, c), None))
-            return steps
+            rows.append([])
         row = rows[r]
+        if type(row) is tuple:
+            row = rows[r] = list(row)
         if c == len(row):
-            rows[r] = row + (x,)
+            row.append(x)
             steps.append(((r, c), None))
             return steps
         bumped = row[c]
         steps.append(((r, c), bumped))
-        rows[r] = row[:c] + (x,) + row[c + 1 :]
+        row[c] = x
         x = bumped
 
 
@@ -134,7 +134,7 @@ def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...]
         raise XAlreadyPresent(f"{x} already present in row")
     rows = [row]
     _, bumped = _bump(rows, x)[0]
-    return rows[0], bumped
+    return tuple(rows[0]), bumped
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
@@ -144,7 +144,7 @@ def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     steps = tuple(map(TrailStep._make, _bump(rows, x)))
-    return Tableau._trusted(tuple(rows)), Trail("row", steps)
+    return Tableau._trusted(tuple(map(tuple, rows))), Trail("row", steps)
 
 
 def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
@@ -154,7 +154,7 @@ def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     steps = tuple(map(TrailStep._make, _bump(rows, x, by_column=True)))
-    return Tableau._trusted(tuple(rows)), Trail("column", steps)
+    return Tableau._trusted(tuple(map(tuple, rows))), Trail("column", steps)
 
 
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:

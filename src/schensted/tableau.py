@@ -9,8 +9,8 @@ the step under test:
 
 - ``Tableau(...)``, ``Tableau.from_rows`` and ``parse_tableau``;
 - ``insertion._apply_placements``, only at the boxes it writes: the fused
-  result, the ``slide_trail`` reconstructions and ``rsk``'s recording tableau;
-- the insertion tableau ``P`` that ``rsk`` returns, once per word;
+  result and the ``slide_trail`` reconstructions;
+- the tableaux ``P`` and ``Q`` that ``rsk`` returns, each once per word;
 - the relabelled tableau of each sweep case in ``harness.enumerate_cases``;
 - each value that ``row_insert``, ``column_insert`` or ``rsk`` inserts (``check_label``).
 
@@ -156,7 +156,10 @@ class Tableau:
         )
 
     def __contains__(self, v: Label) -> bool:
-        return any(v in row for row in self.rows)
+        for row in self.rows:
+            if v in row:
+                return True
+        return False
 
     def get(self, box: BoxCoord) -> Optional[Label]:
         """Label at ``box``, or ``None`` when the box lies outside the shape."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schensted import Tableau
@@ -28,3 +30,8 @@ WORKED_COL_TRAIL = [
 @pytest.fixture
 def worked() -> Tableau:
     return Tableau.from_rows(WORKED_ROWS)
+
+
+def random_words(seed, cells=300):
+    """One seeded random word of ``cells`` distinct labels, in a list."""
+    return [random.Random(seed).sample(range(1, 4 * cells), cells)]

@@ -5,7 +5,7 @@ import random
 import sys
 from collections import Counter
 from concurrent import futures
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 
@@ -27,7 +27,7 @@ from schensted import fused, harness, insertion, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
 from schensted.insertion import _bump
 
-from conftest import WORKED_X, WORKED_Y
+from conftest import WORKED_X, WORKED_Y, random_words
 
 
 def row_insert_reversing_row_0(t, x):
@@ -42,6 +42,20 @@ def bump_reversing_row_0(rows, x, by_column=False):
     steps = _bump(rows, x, by_column)
     rows[0] = rows[0][::-1]
     return steps
+
+
+def bump_reporting_the_box_one_row_up_at(step):
+    """A planted fault: a bump whose ``step``-th call reports its created box one row up."""
+    calls = count(1)
+
+    def bump(rows, x, by_column=False):
+        steps = _bump(rows, x, by_column)
+        if next(calls) == step:
+            (r, c), _ = steps[-1]
+            steps[-1] = ((r + 1, c), None)
+        return steps
+
+    return bump
 
 
 def brute_force_involution_count(n):
@@ -214,9 +228,21 @@ class TestRsk:
         with pytest.raises(TableauError):
             rsk(word)
 
-    @pytest.mark.parametrize("n", range(7))
-    def test_matches_row_insertion_one_value_at_a_time(self, n):
-        for w in permutations(range(1, n + 1)):
+    def test_recording_tableau_validated(self, monkeypatch):
+        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_one_row_up_at(3))
+        with pytest.raises(TableauError):
+            rsk([2, 1, 3])  # Q = ((1,), (2, 3)): the third box is reported at (1, 1), not (0, 1)
+
+    @pytest.mark.parametrize(
+        "words",
+        [pytest.param(functools.partial(permutations, range(1, n + 1)), id=str(n)) for n in range(7)]
+        + [
+            pytest.param(functools.partial(random_words, seed), id=f"rsk-300-cells-seed-{seed}")
+            for seed in (1, 2, 3)
+        ],
+    )
+    def test_matches_row_insertion_one_value_at_a_time(self, words):
+        for w in words():
             p, q_rows = Tableau(), []
             for step_index, v in enumerate(w, 1):
                 p, trail = row_insert(p, v)

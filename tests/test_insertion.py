@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from schensted import (
 from schensted.harness import check_modify_property
 from schensted.insertion import Trail, TrailStep, _apply_placements, _trail_placements
 
-from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y
+from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y, random_words
 
 
 def steps_of(trail):
@@ -366,6 +367,69 @@ class TestTransposeDuality:
             assert ct_tab == rt_tab.transpose()
             assert ct.boxes == tuple((c, r) for r, c in rt.boxes)
             assert ct.labels == rt.labels
+
+
+def case_pairs(n):
+    return [(case.tableau, case.x, case.y) for case in enumerate_cases(n)]
+
+
+def random_large_pairs(seed, cells=300):
+    """An rsk tableau of ``cells`` even labels with pairs of distinct odd values."""
+    insertions = random_large_insertions(seed, cells)
+    return [(t, x, y) for (t, x), (_, y) in zip(insertions, insertions[1:])]
+
+
+def rows_copy(t):
+    return [list(row) for row in t.rows]
+
+
+class TestRowsNotShared:
+    """The kernel writes rows in place as lists; no list may leak into or out of a tableau."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [pytest.param(partial(case_pairs, n), id=str(n)) for n in range(6)]
+        + [
+            pytest.param(partial(random_large_pairs, seed), id=f"rsk-300-cells-seed-{seed}")
+            for seed in (1, 2, 3)
+        ],
+    )
+    def test_results_are_tuples_and_inputs_unchanged(self, pairs):
+        for t, x, y in pairs():
+            before = rows_copy(t)
+            after_row, row_trail = row_insert(t, y)
+            after_col, col_trail = column_insert(x, t)
+            inserted = rows_copy(after_row), rows_copy(after_col)
+            results = [
+                after_row,
+                after_col,
+                slide_trail(t, row_trail, y),
+                slide_trail(t, col_trail, x),
+                row_insert(after_col, y)[0],  # inserting into a result leaves it as it was
+                column_insert(x, after_row)[0],
+            ]
+            for result in results:
+                assert all(type(row) is tuple for row in result.rows)
+                hash(result)
+            if t.rows:
+                assert type(insert_into_row(t.rows[0], y)[0]) is tuple
+            assert (rows_copy(t), rows_copy(after_row), rows_copy(after_col)) == (before, *inserted)
+
+    @pytest.mark.parametrize(
+        "words",
+        [pytest.param(partial(permutations, range(1, n + 1)), id=str(n)) for n in range(6)]
+        + [
+            pytest.param(partial(random_words, seed), id=f"rsk-300-cells-seed-{seed}")
+            for seed in (1, 2, 3)
+        ],
+    )
+    def test_rsk_rows_are_tuples(self, words):
+        for w in words():
+            word = list(w)
+            for result in rsk(word):
+                assert all(type(row) is tuple for row in result.rows)
+                hash(result)
+            assert word == list(w)
 
 
 class TestBumpStability:
