@@ -17,8 +17,7 @@ from .fused import (
     commute_check,
     fused_insert,
     resolve_conflict,
-    trail_agreement_above,
-    trail_agreement_below,
+    trail_agreement,
 )
 from .harness import (
     CaseDescriptor,

@@ -31,19 +31,7 @@ def _read_tableau(args: argparse.Namespace) -> Tableau:
 
 
 def _render_options(args: argparse.Namespace) -> RenderOptions:
-    return RenderOptions(
-        convention=getattr(args, "convention", "french"),
-        format=getattr(args, "format", "ascii"),
-        annotate=getattr(args, "annotate", "none"),
-    )
-
-
-def _add_io_flags(parser: argparse.ArgumentParser, annotate: bool = True) -> None:
-    parser.add_argument("--file", default="-", help="tableau file (default: stdin)")
-    parser.add_argument("--convention", choices=("french", "english"), default="french")
-    parser.add_argument("--format", choices=("ascii", "latex"), default="ascii")
-    if annotate:
-        parser.add_argument("--annotate", choices=("none", "trails"), default="none")
+    return RenderOptions(convention=args.convention, format=args.format)
 
 
 def cmd_insert(args: argparse.Namespace) -> int:
@@ -55,10 +43,10 @@ def cmd_insert(args: argparse.Namespace) -> int:
         result, trail = column_insert(args.value, t)
         row_trail, col_trail = None, trail
     opts = _render_options(args)
-    if opts.annotate == "trails":
+    if args.annotate == "trails":
         print(render_tableau(t, opts, row_trail=row_trail, col_trail=col_trail))
         print()
-    print(render_tableau(result, RenderOptions(opts.convention, opts.format)))
+    print(render_tableau(result, opts))
     print()
     print(render_trail(trail))
     return 0
@@ -67,8 +55,6 @@ def cmd_insert(args: argparse.Namespace) -> int:
 def cmd_commute(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
     report = commute_check(t, args.x, args.y)
-    opts = _render_options(args)
-    plain = RenderOptions(opts.convention, opts.format)
     if args.porcelain:
         for name, tab in (
             ("left", report.left),
@@ -90,7 +76,8 @@ def cmd_commute(args: argparse.Namespace) -> int:
             "x->(T<-y)": report.right,
             "fused": report.fused,
         }
-        rendered = {name: render_tableau(tab, plain).splitlines() for name, tab in blocks.items()}
+        opts = _render_options(args)
+        rendered = {name: render_tableau(tab, opts).splitlines() for name, tab in blocks.items()}
         height = max(len(lines) for lines in rendered.values())
         width = {
             name: max([len(ln) for ln in lines] + [len(name)])
@@ -119,10 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except SweepFailure as err:
         print(f"sweep failure: {err}", file=sys.stderr)
         return 1
-    print(
-        f"checked {summary.cases_total} cases up to n={args.max_n}: "
-        f"failures: {summary.failures}"
-    )
+    print(f"checked {summary.cases_total} cases up to n={args.max_n}")
     for line in summary.records():
         print(line)
     return 0
@@ -130,7 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_rsk(args: argparse.Namespace) -> int:
     p, q = rsk(args.word)
-    opts = RenderOptions(convention=args.convention, format=args.format)
+    opts = _render_options(args)
     print("P:")
     print(render_tableau(p, opts))
     print("Q:")
@@ -151,22 +135,27 @@ def build_parser() -> argparse.ArgumentParser:
         "and exhaustive commutation checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    render_flags = argparse.ArgumentParser(add_help=False)
+    render_flags.add_argument("--convention", choices=("french", "english"), default="french")
+    render_flags.add_argument("--format", choices=("ascii", "latex"), default="ascii")
+    io_flags = argparse.ArgumentParser(add_help=False, parents=[render_flags])
+    io_flags.add_argument("--file", default="-", help="tableau file (default: stdin)")
 
-    p_insert = sub.add_parser("insert", help="row- or column-insert a value")
+    p_insert = sub.add_parser("insert", parents=[io_flags], help="row- or column-insert a value")
     p_insert.add_argument("--mode", choices=("row", "col"), required=True)
     p_insert.add_argument("--value", type=int, required=True)
-    _add_io_flags(p_insert)
+    p_insert.add_argument("--annotate", choices=("none", "trails"), default="none")
     p_insert.set_defaults(func=cmd_insert)
 
     p_commute = sub.add_parser(
-        "commute", help="compare (x->T)<-y, x->(T<-y), and the fused insertion"
+        "commute", parents=[io_flags],
+        help="compare (x->T)<-y, x->(T<-y), and the fused insertion",
     )
     p_commute.add_argument("--x", type=int, required=True, help="column-inserted value")
     p_commute.add_argument("--y", type=int, required=True, help="row-inserted value")
     p_commute.add_argument(
         "--porcelain", action="store_true", help="line-oriented key=value output"
     )
-    _add_io_flags(p_commute)
     p_commute.set_defaults(func=cmd_commute)
 
     p_verify = sub.add_parser("verify", help="exhaustive sweep of all invariants")
@@ -177,14 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_rsk = sub.add_parser("rsk", help="insertion and recording tableaux of a word")
+    p_rsk = sub.add_parser(
+        "rsk", parents=[render_flags], help="insertion and recording tableaux of a word"
+    )
     p_rsk.add_argument("word", type=int, nargs="*", help="distinct labels")
-    p_rsk.add_argument("--convention", choices=("french", "english"), default="french")
-    p_rsk.add_argument("--format", choices=("ascii", "latex"), default="ascii")
     p_rsk.set_defaults(func=cmd_rsk)
 
-    p_render = sub.add_parser("render", help="pretty-print a tableau")
-    _add_io_flags(p_render)
+    p_render = sub.add_parser("render", parents=[io_flags], help="pretty-print a tableau")
     p_render.set_defaults(func=cmd_render)
 
     return parser

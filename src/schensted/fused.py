@@ -145,12 +145,3 @@ def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
     hypothesis = bool(s1) and bool(s2) and s1[0] == s2[0]
     return before[:k] == after[:k], s1 == s2, hypothesis
 
-
-def trail_agreement_below(t: Tableau, x: Label, y: Label) -> bool:
-    """Whether the row trails of T←y and (x→T)←y agree below the crossing row."""
-    return trail_agreement(commute_check(t, x, y))[0]
-
-
-def trail_agreement_above(t: Tableau, x: Label, y: Label) -> tuple[bool, bool]:
-    """``(above_equal, hypothesis_holds)`` of :func:`trail_agreement`."""
-    return trail_agreement(commute_check(t, x, y))[1:]

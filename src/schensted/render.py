@@ -19,7 +19,6 @@ from .tableau import BoxCoord, Tableau
 class RenderOptions:
     convention: Literal["french", "english"] = "french"
     format: Literal["ascii", "latex"] = "ascii"
-    annotate: Literal["none", "trails"] = "none"
 
 
 def _cell_texts(
@@ -45,9 +44,7 @@ def render_tableau(
     t: Tableau, options: RenderOptions = RenderOptions(),
     row_trail: Optional[Trail] = None, col_trail: Optional[Trail] = None,
 ) -> str:
-    """Render a tableau; the result of the plain ascii form parses back."""
-    if options.annotate == "none":
-        row_trail = col_trail = None
+    """Render a tableau, marking the trails given; the plain ascii form parses back."""
     cells = _cell_texts(t, row_trail, col_trail, options.format)
     if not cells:
         return "" if options.format == "ascii" else "\\begin{ytableau}\n\\end{ytableau}"

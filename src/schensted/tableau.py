@@ -11,7 +11,7 @@ the step under test:
 - ``insertion._apply_placements``, only at the boxes it writes: the fused
   result and the ``slide_trail`` reconstructions;
 - the tableaux ``P`` and ``Q`` that ``rsk`` returns, each once per word;
-- the relabelled tableau of each sweep case in ``harness.enumerate_cases``;
+- one labelled tableau per SYT in ``harness.enumerate_cases``, shared by its cases;
 - each value that ``row_insert``, ``column_insert`` or ``rsk`` inserts (``check_label``).
 
 Rows the library derives itself from a valid tableau (bumping, transposing,

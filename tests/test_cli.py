@@ -51,11 +51,7 @@ class TestRendering:
     def test_annotated_trails(self, worked):
         worked_t = worked
         _, trail = row_insert(worked_t, 8)
-        out = render_tableau(
-            worked_t,
-            RenderOptions(annotate="trails"),
-            row_trail=trail,
-        )
+        out = render_tableau(worked_t, row_trail=trail)
         assert "9_" in out
         assert "*" in out  # the newly created box
 
@@ -167,7 +163,7 @@ class TestVerifyCommand:
     def test_small_sweep(self, capsys):
         assert main(["verify", "--max-n", "3"]) == 0
         out = capsys.readouterr().out
-        assert "failures: 0" in out
+        assert out.splitlines()[0] == "checked 112 cases up to n=3"
         assert "cases_total=112" in out
 
 
@@ -215,6 +211,20 @@ class TestRskCommand:
 
     def test_duplicate(self, capsys):
         assert main(["rsk", "1", "1"]) == 2
+
+
+class TestAnnotateFlag:
+    def test_insert_marks_the_trails(self, worked_file, capsys):
+        argv = ["insert", "--mode", "col", "--value", "7", "--annotate", "trails", "--file", worked_file]
+        assert main(argv) == 0
+        assert "|11" in capsys.readouterr().out  # the column trail starts at 11
+
+    @pytest.mark.parametrize("command", [["render"], ["commute", "--x", "7", "--y", "8"]])
+    def test_only_insert_takes_it(self, command, worked_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--annotate", "trails", "--file", worked_file])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --annotate trails" in capsys.readouterr().err
 
 
 class TestRenderCommand:

@@ -13,8 +13,7 @@ from schensted import (
     fused_insert,
     resolve_conflict,
     row_insert,
-    trail_agreement_above,
-    trail_agreement_below,
+    trail_agreement,
 )
 from schensted.fused import _fused
 
@@ -131,7 +130,7 @@ class TestCommuteCheck:
 
 class TestTrailAgreement:
     def test_worked_example_below(self, worked):
-        assert trail_agreement_below(worked, WORKED_X, WORKED_Y) is True
+        assert trail_agreement(commute_check(worked, WORKED_X, WORKED_Y))[0] is True
         # Both row trails pass through 9 at (0,3) and 10 at (1,2).
         after_col, _ = column_insert(WORKED_X, worked)
         _, trail2 = row_insert(after_col, WORKED_Y)
@@ -142,9 +141,9 @@ class TestTrailAgreement:
 
     def test_not_strong_raises(self):
         with pytest.raises(NotAStrongIntersection):
-            trail_agreement_below(Tableau.from_rows([[1, 3], [2]]), 4, 5)
+            trail_agreement(commute_check(Tableau.from_rows([[1, 3], [2]]), 4, 5))
         with pytest.raises(NotAStrongIntersection):
-            trail_agreement_above(Tableau.from_rows([[2, 3]]), 1, 4)
+            trail_agreement(commute_check(Tableau.from_rows([[2, 3]]), 1, 4))
 
     @pytest.mark.parametrize("n", range(6))
     def test_exhaustive_agreement(self, n):
@@ -152,8 +151,10 @@ class TestTrailAgreement:
             report = commute_check(case.tableau, case.x, case.y)
             if report.intersection.variant != "strong":
                 continue
-            assert trail_agreement_below(case.tableau, case.x, case.y)
-            above_equal, hypothesis = trail_agreement_above(case.tableau, case.x, case.y)
+            below_equal, above_equal, hypothesis = trail_agreement(
+                commute_check(case.tableau, case.x, case.y)
+            )
+            assert below_equal
             assert hypothesis
             assert above_equal
 

@@ -11,6 +11,7 @@ import pytest
 
 from schensted import (
     DuplicateInWord,
+    InvariantViolation,
     RowNotIncreasing,
     SweepFailure,
     Tableau,
@@ -44,8 +45,8 @@ def bump_reversing_row_0(rows, x, by_column=False):
     return steps
 
 
-def bump_reporting_the_box_one_row_up_at(step):
-    """A planted fault: a bump whose ``step``-th call reports its created box one row up."""
+def bump_reporting_the_box_rows_up_at(step, rows_up=1):
+    """A planted fault: a bump whose ``step``-th call reports its created box ``rows_up`` rows up."""
     calls = []
 
     def bump(rows, x, by_column=False):
@@ -53,7 +54,7 @@ def bump_reporting_the_box_one_row_up_at(step):
         calls.append(x)
         if len(calls) == step:
             (r, c), _ = steps[-1]
-            steps[-1] = ((r + 1, c), None)
+            steps[-1] = ((r + rows_up, c), None)
         return steps
 
     return bump
@@ -98,6 +99,27 @@ class TestEnumerateCases:
         pairs = (n + 2) * (n + 1) // 2
         assert sum(1 for _ in enumerate_cases(n)) == syt * pairs * 2
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_order_type_once(self, n):
+        # Standardise each case by ranking all n + 2 labels: distinct results,
+        # as many as there are order types of (T, x, y), cover every one.
+        standardised = set()
+        for case in enumerate_cases(n):
+            labels = sorted([*case.tableau.entries(), case.x, case.y])
+            rank = {v: k for k, v in enumerate(labels, 1)}
+            rows = tuple(tuple(rank[v] for v in row) for row in case.tableau.rows)
+            standardised.add((rows, rank[case.x], rank[case.y]))
+        assert len(standardised) == brute_force_involution_count(n) * (n + 1) * (n + 2)
+        assert len(standardised) == sum(1 for _ in enumerate_cases(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_validation_per_tableau(self, n, monkeypatch):
+        calls = []
+        original = tableau._validate
+        monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
+        list(enumerate_cases(n))
+        assert len(calls) == brute_force_involution_count(n)
+
     @pytest.mark.parametrize("n", range(5))
     def test_case_invariants(self, n):
         for case in enumerate_cases(n):
@@ -111,12 +133,12 @@ class TestRunSweep:
     def test_n0(self):
         summary = run_sweep(0)
         assert summary.cases_total == 2
-        assert summary.failures == 0
+        assert sum(summary.variant_counts.values()) == 2
 
     def test_small_sweep(self):
         summary = run_sweep(4)
         assert summary.cases_total == 412
-        assert summary.failures == 0
+        assert sum(summary.variant_counts.values()) == 412
         assert summary.part_ii_hypothesis_failures == 0
         # All five configurations already occur at n <= 4.
         assert all(v >= 1 for v in summary.configuration_counts.values())
@@ -135,8 +157,19 @@ class TestRunSweep:
 
     def test_records_are_stable_lines(self):
         lines = run_sweep(2).records()
-        assert "failures=0" in lines
-        assert any(line.startswith("cases_total=") for line in lines)
+        assert [line.split("=")[0] for line in lines] == [
+            "cases_total",
+            "variant.disjoint",
+            "variant.shared_empty_box",
+            "variant.strong",
+            "configuration.AB",
+            "configuration.AJB",
+            "configuration.IJ",
+            "configuration.IJB",
+            "configuration.JB",
+            "part_ii_hypothesis_failures",
+            "elapsed_seconds",
+        ]
 
 
 class TestCheckCase:
@@ -230,9 +263,20 @@ class TestRsk:
             rsk(word)
 
     def test_recording_tableau_validated(self, monkeypatch):
-        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_one_row_up_at(3))
+        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(3))
         with pytest.raises(TableauError):
             rsk([2, 1, 3])  # Q = ((1,), (2, 3)): the third box is reported at (1, 1), not (0, 1)
+
+    def test_recording_shape_compared_with_insertion_shape(self, monkeypatch):
+        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(2))
+        with pytest.raises(InvariantViolation):
+            rsk([1, 2])  # P = ((1, 2),), and the valid Q = ((1,), (2,)) has another shape
+
+    @pytest.mark.parametrize("word", [[1], [1, 2], [2, 1]])
+    def test_box_past_the_last_row_rejected(self, word, monkeypatch):
+        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(len(word), rows_up=2))
+        with pytest.raises(InvariantViolation):
+            rsk(word)
 
     @pytest.mark.parametrize(
         "words",
