@@ -35,7 +35,6 @@ from .insertion import (
     Trail,
     TrailInconsistentWithTableau,
     TrailInvariantViolation,
-    TrailStep,
     XAlreadyPresent,
     column_insert,
     insert_into_row,

@@ -18,7 +18,7 @@ from .fused import commute_check
 from .harness import DuplicateInWord, SweepFailure, rsk, run_sweep
 from .insertion import InvariantViolation, XAlreadyPresent, column_insert, row_insert
 from .render import RenderOptions, render_tableau, render_trail
-from .tableau import Tableau, TableauError, parse_tableau
+from .tableau import Tableau, TableauError, dump_tableau, parse_tableau
 
 
 def _read_tableau(args: argparse.Namespace) -> Tableau:
@@ -105,6 +105,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary = run_sweep(args.max_n, workers=workers, seed=args.seed)
     except SweepFailure as err:
         print(f"sweep failure: {err}", file=sys.stderr)
+        t, x, y = err.case.tableau, err.case.x, err.case.y
+        rows = "".join(f" '{row}'" for row in dump_tableau(t).splitlines())
+        print(f"reproduce: printf '%s\\n'{rows} | schensted commute --x {x} --y {y}", file=sys.stderr)
         return 1
     print(f"checked {summary.cases_total} cases up to n={args.max_n}")
     for line in summary.records():

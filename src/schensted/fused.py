@@ -77,8 +77,7 @@ def _fused(
         if s is None:  # S ends both trails: B and J are its right and upper neighbors.
             b_box, j_box = (s_box[0], s_box[1] + 1), (s_box[0] + 1, s_box[1])
         else:  # B and J follow S in the column and in the row trail.
-            b_box = col.steps[col.boxes.index(s_box) + 1].box
-            j_box = row.steps[row.boxes.index(s_box) + 1].box
+            b_box, j_box = col.boxes[s_box[1] + 1], row.boxes[s_box[0] + 1]
         rule = resolve_conflict(report.a, report.i, s)
         targets = ((s_box, rule.s_target), (b_box, rule.b_target), (j_box, rule.j_target))
         placements.update((box, v) for box, v in targets if v is not None)
@@ -140,8 +139,12 @@ def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
     if inter.variant != "strong":
         raise NotAStrongIntersection(f"intersection is {inter.variant}")
     k = inter.s_box[0]
-    before, after = report.row_trail.steps, report.left_row_trail.steps
-    s1, s2 = before[k + 1 :], after[k + 1 :]
-    hypothesis = bool(s1) and bool(s2) and s1[0] == s2[0]
-    return before[:k] == after[:k], s1 == s2, hypothesis
+    before, after = report.row_trail, report.left_row_trail
+
+    def agree(part: slice) -> bool:
+        return before.boxes[part] == after.boxes[part] and before.labels[part] == after.labels[part]
+
+    first_above = slice(k + 1, k + 2)  # a created box there agrees only with a created box
+    hypothesis = bool(before.boxes[first_above]) and agree(first_above)
+    return agree(slice(k)), agree(slice(k + 1, None)), hypothesis
 

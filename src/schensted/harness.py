@@ -126,7 +126,7 @@ def perturb_row(
     """
     out = list(row)
     for k in range(y_pos - 1, -1, -1):
-        hi = min(row[k], out[k + 1] - 1) if k + 1 <= y_pos else row[k]
+        hi = min(row[k], out[k + 1] - 1)
         out[k] = rng.randint(k, hi)
     prev = out[y_pos]
     for k in range(y_pos + 1, len(row)):
@@ -262,7 +262,7 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     q_rows: list[list[int]] = []
     for step_index, v in enumerate(word, 1):
         check_label(v)  # before bisecting, which would compare mixed types
-        r = _bump(rows, v)[-1][0][0]  # the row of the created box
+        r = _bump(rows, v)[0][-1][0]  # the row of the created box
         if r == len(q_rows):
             q_rows.append([])
         elif r > len(q_rows):

@@ -1,19 +1,19 @@
 """Row and column bumping insertion with full trail recording.
 
-The trail of an insertion is the sequence of boxes it activates, each carrying
-the label that box held *before* the insertion, followed by the newly created
-box (which is unlabeled).  The insertion itself can be reconstructed from the
-trail alone: slide every trail label to the next trail box and drop the
-inserted value into the first box (see :func:`slide_trail`).
+The trail of an insertion is its boxes plus the labels they held: the boxes it
+activates, ending at the newly created box, and the label each box but the
+created one held *before* the insertion.  The insertion itself can be
+reconstructed from the trail alone: slide every trail label to the next trail
+box and drop the inserted value into the first box (see :func:`slide_trail`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Literal, NamedTuple, Optional
+from typing import Iterable, Literal, Optional
 
 from .tableau import BoxCoord, Label, Tableau, TableauError, _check_writes, check_label
 
@@ -36,48 +36,32 @@ class TrailInvariantViolation(InvariantViolation):
     """A produced trail breaks one of its structural invariants."""
 
 
-class TrailStep(NamedTuple):
-    box: BoxCoord
-    label: Optional[Label]  # None only for the final, newly created box
-
-
 @dataclass(frozen=True)
 class Trail:
     kind: TrailKind
-    steps: tuple[TrailStep, ...]
-    boxes: tuple[BoxCoord, ...] = field(init=False, repr=False, compare=False)
-    labels: tuple[Label, ...] = field(init=False, repr=False, compare=False)  # final box excluded
-
-    def __post_init__(self) -> None:
-        # Built once: read many times per case, and a cached_property costs more.
-        boxes, labels = zip(*self.steps) if self.steps else ((), ())
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "labels", labels[:-1])
+    boxes: tuple[BoxCoord, ...]  # step k in row (column) k; the last is the created box
+    labels: tuple[Label, ...]  # the label each box but the created one held
 
     @property
     def created_box(self) -> BoxCoord:
-        return self.steps[-1].box
+        return self.boxes[-1]
 
 
 def validate_trail(trail: Trail) -> None:
     """Check every structural trail invariant; raise on the first violation."""
-    steps = trail.steps
-    if not steps:
-        raise TrailInvariantViolation("trail has no steps")
-    if steps[-1].label is not None:
-        raise TrailInvariantViolation("final trail step must be unlabeled")
-    for s in steps[:-1]:
-        if s.label is None:
-            raise TrailInvariantViolation("only the final step may be unlabeled")
-    labels = trail.labels
+    boxes, labels = trail.boxes, trail.labels
+    if not boxes:
+        raise TrailInvariantViolation("trail has no boxes")
+    if len(labels) != len(boxes) - 1 or None in labels:
+        raise TrailInvariantViolation("every box but the created one must carry a label")
     if any(u >= v for u, v in zip(labels, labels[1:])):
         raise TrailInvariantViolation("trail labels must strictly increase")
     # Step k lies in row (column) k; the other coordinate weakly decreases.
     line, other = ("row", 1) if trail.kind == "row" else ("column", 0)
-    for k, s in enumerate(steps):
-        if s.box[1 - other] != k:
+    for k, box in enumerate(boxes):
+        if box[1 - other] != k:
             raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
-    coords = [s.box[other] for s in steps]
+    coords = [box[other] for box in boxes]
     if any(a < b for a, b in zip(coords, coords[1:])):
         across = "columns" if line == "row" else "rows"
         raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
@@ -85,7 +69,7 @@ def validate_trail(trail: Trail) -> None:
 
 def _bump(
     rows: list[list[Label] | tuple[Label, ...]], x: Label, by_column: bool = False
-) -> list[tuple[BoxCoord, Optional[Label]]]:
+) -> tuple[list[BoxCoord], list[Label]]:
     """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
     Row k (column k) swaps the incoming value for its smallest larger entry,
@@ -93,9 +77,9 @@ def _bump(
     last row opening a new one.  Column k is ``rows[r][k]`` for the first
     ``height`` rows: one box per column, no transposing.  Rows are written as
     lists, a tuple row copied on its first write; rows not written stay as they
-    are.  Returns ``((row, col), bumped label or None)`` per step.
+    are.  Returns the boxes of the steps and the labels bumped out of them.
     """
-    steps = []
+    boxes, labels = [], []
     n = height = len(rows)  # n stays the row count until the bump ends
     for k in count():
         if by_column:
@@ -114,12 +98,12 @@ def _bump(
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)
+        boxes.append((r, c))
         if c == len(row):
             row.append(x)
-            steps.append(((r, c), None))
-            return steps
+            return boxes, labels
         bumped = row[c]
-        steps.append(((r, c), bumped))
+        labels.append(bumped)
         row[c] = x
         x = bumped
 
@@ -133,28 +117,27 @@ def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...]
     if x in row:
         raise XAlreadyPresent(f"{x} already present in row")
     rows = [row]
-    _, bumped = _bump(rows, x)[0]
-    return tuple(rows[0]), bumped
+    _, labels = _bump(rows, x)
+    return tuple(rows[0]), labels[0] if labels else None
+
+
+def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
+    check_label(x)
+    if x in t:
+        raise XAlreadyPresent(f"{x} already present in tableau")
+    rows = list(t.rows)
+    boxes, labels = _bump(rows, x, by_column=kind == "column")
+    return Tableau._trusted(tuple(map(tuple, rows))), Trail(kind, tuple(boxes), tuple(labels))
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
     """Insert ``x`` by rows (T ← x), bumping upward from the first row."""
-    check_label(x)
-    if x in t:
-        raise XAlreadyPresent(f"{x} already present in tableau")
-    rows = list(t.rows)
-    steps = tuple(map(TrailStep._make, _bump(rows, x)))
-    return Tableau._trusted(tuple(map(tuple, rows))), Trail("row", steps)
+    return _insert(t, x, "row")
 
 
 def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
     """Insert ``x`` by columns (x → T), bumping rightward from the first column."""
-    check_label(x)
-    if x in t:
-        raise XAlreadyPresent(f"{x} already present in tableau")
-    rows = list(t.rows)
-    steps = tuple(map(TrailStep._make, _bump(rows, x, by_column=True)))
-    return Tableau._trusted(tuple(map(tuple, rows))), Trail("column", steps)
+    return _insert(t, x, "column")
 
 
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
@@ -162,18 +145,19 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
 
     Each labeled step's label moves to the next step's box and ``inserted``
     fills the first box.  Raises TrailInconsistentWithTableau when the trail
-    is empty, ends in a box of the tableau, or has a step before the last that
+    is empty, ends in a box of the tableau, or has a box before the last that
     is unlabeled or does not match the tableau it claims to come from.
     """
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
-    if not trail.steps or t.get(trail.created_box) is not None:
+    boxes, labels = trail.boxes, trail.labels
+    if not boxes or t.get(trail.created_box) is not None:
         raise TrailInconsistentWithTableau("trail does not end in a new box")
-    for step in trail.steps[:-1]:
-        if step.label is None or t.get(step.box) != step.label:
-            raise TrailInconsistentWithTableau(
-                f"box {step.box} does not hold label {step.label}"
-            )
+    if len(labels) != len(boxes) - 1 or None in labels:
+        raise TrailInconsistentWithTableau("every box but the created one must carry a label")
+    for box, label in zip(boxes, labels):
+        if t.get(box) != label:
+            raise TrailInconsistentWithTableau(f"box {box} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
 
 

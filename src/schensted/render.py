@@ -72,7 +72,4 @@ def render_tableau(
 
 def render_trail(trail: Trail) -> str:
     """One step per line: ``row col label``, with ``_`` for the final box."""
-    return "\n".join(
-        f"{s.box[0]} {s.box[1]} {s.label if s.label is not None else '_'}"
-        for s in trail.steps
-    )
+    return "\n".join(f"{r} {c} {label}" for (r, c), label in zip(trail.boxes, trail.labels + ("_",)))

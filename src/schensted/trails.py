@@ -1,12 +1,15 @@
 """Geometric trails, intersection classification, and the adjacency analysis.
 
-A trail becomes a broken line through the centers of its boxes, kept in
-integer half-box units so that box centers have odd coordinates.  Step k of a
+A trail becomes a broken line through the centers of its boxes.  Step k of a
 row trail lies in row k and step k of a column trail in column k, so every
 row-trail segment spans one row band and every column-trail segment one
 column band.  No vertex of one trail can then lie inside a segment of the
 other: the two broken lines touch either at a shared box or by a strict
-crossing, which integer cross products detect exactly.
+crossing, which integer cross products detect exactly.  They are taken on the
+(row, col) coordinates themselves: the map to box centers is a translation, a
+positive scaling and an axis swap.  Translation and scaling keep the sign of
+every cross product; the swap flips every sign, which leaves each product of
+two cross products, and so each crossing test, unchanged.
 
 Two trails on the same tableau either share no point (disjoint), share only
 their final unlabeled box, or share exactly one labeled box S.  In the last
@@ -23,8 +26,6 @@ from typing import Literal, Optional
 
 from .insertion import InvariantViolation, Trail
 from .tableau import BoxCoord, Label
-
-Point = tuple[int, int]  # (x, y) = (2*col + 1, 2*row + 1)
 
 Variant = Literal["disjoint", "shared_empty_box", "strong"]
 
@@ -54,11 +55,6 @@ class NotAStrongIntersection(ValueError):
     pass
 
 
-def box_center(box: BoxCoord) -> Point:
-    r, c = box
-    return (2 * c + 1, 2 * r + 1)
-
-
 @dataclass(frozen=True)
 class IntersectionReport:
     variant: Variant
@@ -84,11 +80,11 @@ class IntersectionReport:
         )
 
 
-def _cross(o: Point, p: Point, q: Point) -> int:
+def _cross(o: BoxCoord, p: BoxCoord, q: BoxCoord) -> int:
     return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
 
 
-def _cross_strictly(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+def _cross_strictly(p1: BoxCoord, p2: BoxCoord, q1: BoxCoord, q2: BoxCoord) -> bool:
     """Whether segments p1p2 and q1q2 cross at a point inside both."""
     return (
         _cross(q1, q2, p1) * _cross(q1, q2, p2) < 0
@@ -121,13 +117,11 @@ def classify_intersection(
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")
 
-    row_pts = [box_center(bx) for bx in row_boxes]
-    col_pts = [box_center(bx) for bx in col_boxes]
-    for k in range(len(row_pts) - 1):
+    for k in range(len(row_boxes) - 1):
         # Row segment k can only cross the column segments m with lo <= m < hi.
         lo, hi = sorted((row_boxes[k][1], row_boxes[k + 1][1]))
-        for m in range(lo, min(hi, len(col_pts) - 1)):
-            if _cross_strictly(row_pts[k], row_pts[k + 1], col_pts[m], col_pts[m + 1]):
+        for m in range(lo, min(hi, len(col_boxes) - 1)):
+            if _cross_strictly(row_boxes[k], row_boxes[k + 1], col_boxes[m], col_boxes[m + 1]):
                 raise WeakIntersectionDetected(
                     f"row-trail segment {k} crosses column-trail segment {m}"
                 )
@@ -136,34 +130,33 @@ def classify_intersection(
         return IntersectionReport("disjoint")
 
     s_box = shared[0]
-    ri = row_boxes.index(s_box)
-    ci = col_boxes.index(s_box)
-    row_final = ri == len(row_trail.steps) - 1
-    col_final = ci == len(col_trail.steps) - 1
+    ri, ci = s_box  # S is step ri of the row trail and step ci of the column trail
+    row_labels, col_labels = row_trail.labels, col_trail.labels
+    row_final = ri == len(row_boxes) - 1
+    col_final = ci == len(col_boxes) - 1
     if row_final != col_final:
         # A shared box empty in one trail but labeled in the other cannot happen.
         raise MultipleSharedBoxes(
             f"shared box {s_box} is final in exactly one trail"
         )
-    a = col_trail.steps[ci - 1].label if ci > 0 else x
-    i = row_trail.steps[ri - 1].label if ri > 0 else y
+    a = col_labels[ci - 1] if ci > 0 else x
+    i = row_labels[ri - 1] if ri > 0 else y
     if row_final:
         return IntersectionReport("shared_empty_box", s_box=s_box, a=a, i=i)
 
-    s = row_trail.steps[ri].label
-    if col_trail.steps[ci].label != s:
+    s = row_labels[ri]
+    if col_labels[ci] != s:
         raise MultipleSharedBoxes(f"shared box {s_box} labeled inconsistently")
-    b = col_trail.steps[ci + 1].label  # None when the successor is the empty box
-    j = row_trail.steps[ri + 1].label
-    r0, c0 = s_box
+    b = col_labels[ci + 1] if ci + 1 < len(col_labels) else None  # None when B is the created box
+    j = row_labels[ri + 1] if ri + 1 < len(row_labels) else None
     adjacency = set()
-    if ci > 0 and col_trail.steps[ci - 1].box == (r0, c0 - 1):
+    if ci > 0 and col_boxes[ci - 1] == (ri, ci - 1):
         adjacency.add("A")
-    if col_trail.steps[ci + 1].box == (r0, c0 + 1):
+    if col_boxes[ci + 1] == (ri, ci + 1):
         adjacency.add("B")
-    if ri > 0 and row_trail.steps[ri - 1].box == (r0 - 1, c0):
+    if ri > 0 and row_boxes[ri - 1] == (ri - 1, ci):
         adjacency.add("I")
-    if row_trail.steps[ri + 1].box == (r0 + 1, c0):
+    if row_boxes[ri + 1] == (ri + 1, ci):
         adjacency.add("J")
     configuration = CONFIGURATIONS.get(frozenset(adjacency))
     if configuration is None:

@@ -166,6 +166,33 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == "checked 112 cases up to n=3"
         assert "cases_total=112" in out
 
+    def test_failure_prints_a_reproducer_that_fails(self, capsys, monkeypatch):
+        import io
+        import shlex
+
+        from schensted import fused
+
+        real = fused._fused
+
+        def planted(t, x, y, col, row, report):  # a wrong fused result for one case
+            result = real(t, x, y, col, row, report)
+            return t if (t.rows, x, y) == (((3, 6),), 4, 7) else result
+
+        monkeypatch.setattr(fused, "_fused", planted)
+        assert main(["verify", "--max-n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failure, reproduce = captured.err.splitlines()
+        assert failure.startswith("sweep failure: commutation failed")
+        words = shlex.split(reproduce)
+        assert words[:3] == ["reproduce:", "printf", "%s\\n"]
+        bar = words.index("|")
+        rows, command = words[3:bar], words[bar + 1 :]
+        assert rows == ["3 6"]
+        assert command == ["schensted", "commute", "--x", "4", "--y", "7"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(row + "\n" for row in rows)))
+        assert main(command[1:]) == 1
+        assert "UNEQUAL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("requested,cpus,used", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
     def test_workers_clamped_to_cpu_count(self, requested, cpus, used, monkeypatch):

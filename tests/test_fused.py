@@ -134,7 +134,7 @@ class TestTrailAgreement:
         # Both row trails pass through 9 at (0,3) and 10 at (1,2).
         after_col, _ = column_insert(WORKED_X, worked)
         _, trail2 = row_insert(after_col, WORKED_Y)
-        assert [(s.box, s.label) for s in trail2.steps[:2]] == [
+        assert list(zip(trail2.boxes[:2], trail2.labels[:2])) == [
             ((0, 3), 9),
             ((1, 2), 10),
         ]
@@ -172,7 +172,7 @@ class TestStrongCasePlacement:
                 continue
             _, col_trail = column_insert(x, t)
             ci = col_trail.boxes.index(inter.s_box)
-            b_box = col_trail.steps[ci + 1].box
+            b_box = col_trail.boxes[ci + 1]
             after_col, _ = column_insert(x, t)
             assert after_col.get(b_box) == inter.s
             assert report.left.get(b_box) == inter.s

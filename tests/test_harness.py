@@ -50,12 +50,12 @@ def bump_reporting_the_box_rows_up_at(step, rows_up=1):
     calls = []
 
     def bump(rows, x, by_column=False):
-        steps = _bump(rows, x, by_column)
+        boxes, labels = _bump(rows, x, by_column)
         calls.append(x)
         if len(calls) == step:
-            (r, c), _ = steps[-1]
-            steps[-1] = ((r + rows_up, c), None)
-        return steps
+            r, c = boxes[-1]
+            boxes[-1] = (r + rows_up, c)
+        return boxes, labels
 
     return bump
 

@@ -11,6 +11,7 @@ from schensted import (
     Tableau,
     TableauError,
     TrailInconsistentWithTableau,
+    TrailInvariantViolation,
     XAlreadyPresent,
     column_insert,
     enumerate_cases,
@@ -21,13 +22,13 @@ from schensted import (
     validate_trail,
 )
 from schensted.harness import check_modify_property
-from schensted.insertion import Trail, TrailStep, _apply_placements, _trail_placements
+from schensted.insertion import Trail, _apply_placements, _trail_placements
 
 from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y, random_words
 
 
 def steps_of(trail):
-    return [(s.box, s.label) for s in trail.steps]
+    return list(zip(trail.boxes, trail.labels + (None,)))
 
 
 class TestInsertIntoRow:
@@ -264,7 +265,7 @@ def placements_with_faults(draw):
 
 class TestSlideTrail:
     def test_trivial(self):
-        trail = Trail("row", (TrailStep((0, 0), None),))
+        trail = Trail("row", ((0, 0),), ())
         assert slide_trail(Tableau(), trail, 4) == Tableau.from_rows([[4]])
 
     def test_worked_example_column_trail(self, worked):
@@ -278,22 +279,22 @@ class TestSlideTrail:
         assert intermediate == column_insert(WORKED_X, worked)[0]
 
     @pytest.mark.parametrize(
-        "steps",
-        [(TrailStep((0, 0), 1),), (TrailStep((0, 0), None),), ()],
+        "boxes, labels",
+        [(((0, 0),), (1,)), (((0, 0),), ()), ((), ())],
         ids=["labeled box of T", "unlabeled box of T", "empty"],
     )
-    def test_trail_not_ending_in_a_new_box(self, steps):
+    def test_trail_not_ending_in_a_new_box(self, boxes, labels):
         with pytest.raises(TrailInconsistentWithTableau):
-            slide_trail(Tableau.from_rows([[1]]), Trail("row", steps), 0)
+            slide_trail(Tableau.from_rows([[1]]), Trail("row", boxes, labels), 0)
 
     def test_inconsistent_trail(self, worked):
-        trail = Trail("row", (TrailStep((0, 0), 99), TrailStep((5, 0), None)))
+        trail = Trail("row", ((0, 0), (5, 0)), (99,))
         with pytest.raises(TrailInconsistentWithTableau):
             slide_trail(worked, trail, 7)
         # An unlabeled step before the last, off the tableau: a trail fault, not a tableau fault.
         for trail in (
-            Trail("row", (TrailStep((0, 1), None), TrailStep((0, 2), None))),
-            Trail("column", (TrailStep((1, 0), None), TrailStep((2, 0), None))),
+            Trail("row", ((0, 1), (0, 2)), (None,)),
+            Trail("column", ((1, 0), (2, 0)), (None,)),
         ):
             with pytest.raises(TrailInconsistentWithTableau):
                 slide_trail(Tableau.from_rows([[1]]), trail, 0)
@@ -309,6 +310,29 @@ class TestSlideTrail:
 
 
 class TestTrailInvariants:
+    @pytest.mark.parametrize(
+        "trail, message",
+        [
+            (Trail("row", (), ()), "no boxes"),
+            (Trail("row", ((0, 0), (1, 0)), ()), "every box but the created one"),
+            (Trail("column", ((0, 0),), (5,)), "every box but the created one"),
+            (Trail("row", ((0, 1), (1, 0)), (None,)), "every box but the created one"),
+            (Trail("row", ((0, 1), (1, 0), (2, 0)), (5, 3)), "strictly increase"),
+            (Trail("row", ((0, 0), (2, 0)), (5,)), "row-trail step 1 not in row 1"),
+            (Trail("column", ((0, 0), (0, 2)), (5,)), "column-trail step 1 not in column 1"),
+            (Trail("row", ((0, 0), (1, 1)), (5,)), "row-trail columns must weakly decrease"),
+            (Trail("column", ((0, 0), (1, 1)), (5,)), "column-trail rows must weakly decrease"),
+        ],
+        ids=[
+            "no boxes", "too few labels", "labeled created box", "None label",
+            "labels not increasing", "row step off its row", "column step off its column",
+            "row trail column increases", "column trail row increases",
+        ],
+    )
+    def test_validate_trail_rejects(self, trail, message):
+        with pytest.raises(TrailInvariantViolation, match=message):
+            validate_trail(trail)
+
     @pytest.mark.parametrize("n", range(5))
     def test_well_formedness_and_growth(self, n):
         for case in enumerate_cases(n):
@@ -329,9 +353,9 @@ class TestTrailInvariants:
             t, y = case.tableau, case.y
             _, rt = row_insert(t, y)
             labels = (y,) + rt.labels
-            for u, step in zip(labels, rt.steps[:-1]):
-                _, bumped = insert_into_row(t.rows[step.box[0]], u)
-                assert bumped == step.label
+            for u, box, label in zip(labels, rt.boxes, rt.labels):
+                _, bumped = insert_into_row(t.rows[box[0]], u)
+                assert bumped == label
 
 
 def enumerated_insertions(n):

@@ -15,8 +15,7 @@ from schensted import (
     enumerate_cases,
     row_insert,
 )
-from schensted.insertion import Trail, TrailStep
-from schensted.trails import box_center
+from schensted.insertion import Trail
 
 from conftest import WORKED_X, WORKED_Y
 
@@ -130,14 +129,14 @@ def band_trails(kind, width=4, max_steps=4):
         for others in product(range(width), repeat=length):
             boxes = [(k, o) if kind == "row" else (o, k) for k, o in enumerate(others)]
             # A label per box, so a box shared by both trails carries one label.
-            labels = [10 * r + c + 1 for r, c in boxes[:-1]] + [None]
-            yield Trail(kind, tuple(TrailStep(b, v) for b, v in zip(boxes, labels)))
+            labels = tuple(10 * r + c + 1 for r, c in boxes[:-1])
+            yield Trail(kind, tuple(boxes), labels)
 
 
 class TestGeometricTrail:
     def test_single_step(self):
-        trail = Trail("row", (TrailStep((0, 0), None),))
-        assert tuple(map(box_center, trail.boxes)) == ((1, 1),)
+        trail = Trail("row", ((0, 0),), ())
+        assert trail.created_box == (0, 0)
 
     def test_worked_example_row_trail(self, worked):
         _, trail = row_insert(worked, WORKED_Y)
@@ -204,27 +203,27 @@ class TestClassification:
 
     def test_weak_intersection_raises(self):
         # Hand-built crossing away from any shared box center.
-        row_trail = Trail("row", (TrailStep((0, 1), 5), TrailStep((1, 0), None)))
-        col_trail = Trail("column", (TrailStep((0, 0), 1), TrailStep((1, 1), None)))
+        row_trail = Trail("row", ((0, 1), (1, 0)), (5,))
+        col_trail = Trail("column", ((0, 0), (1, 1)), (1,))
         with pytest.raises(WeakIntersectionDetected):
             classify_intersection(row_trail, col_trail, 0, 2)
 
     def test_multiple_shared_boxes_raises(self):
-        row_trail = Trail("row", (TrailStep((0, 1), 3), TrailStep((1, 0), None)))
-        col_trail = Trail("column", (TrailStep((1, 0), 7), TrailStep((0, 1), None)))
+        row_trail = Trail("row", ((0, 1), (1, 0)), (3,))
+        col_trail = Trail("column", ((1, 0), (0, 1)), (7,))
         with pytest.raises(MultipleSharedBoxes):
             classify_intersection(row_trail, col_trail, 0, 1)
 
 
     def test_band_rule_violation_raises_value_error(self):
         # Step 1 of the row trail is in row 2, so its segment spans two row bands.
-        row_trail = Trail("row", (TrailStep((0, 1), 5), TrailStep((2, 0), None)))
-        col_trail = Trail("column", (TrailStep((3, 0), 1), TrailStep((3, 1), None)))
+        row_trail = Trail("row", ((0, 1), (2, 0)), (5,))
+        col_trail = Trail("column", ((3, 0), (3, 1)), (1,))
         with pytest.raises(ValueError, match="step k must lie"):
             classify_intersection(row_trail, col_trail, 0, 2)
         # Step 1 of the column trail is back in column 0.
-        row_trail = Trail("row", (TrailStep((0, 0), None),))
-        col_trail = Trail("column", (TrailStep((0, 1), 4), TrailStep((0, 0), None)))
+        row_trail = Trail("row", ((0, 0),), ())
+        col_trail = Trail("column", ((0, 1), (0, 0)), (4,))
         with pytest.raises(ValueError, match="step k must lie"):
             classify_intersection(row_trail, col_trail, 0, 2)
 
