@@ -11,11 +11,9 @@ import types as _types
 
 from .fused import (
     CommutationReport,
-    ConflictAssignment,
     InvalidResult,
     LabelsNotDistinct,
     commute_check,
-    fused_insert,
     resolve_conflict,
     trail_agreement,
 )
@@ -37,7 +35,6 @@ from .insertion import (
     TrailInvariantViolation,
     XAlreadyPresent,
     column_insert,
-    insert_into_row,
     row_insert,
     slide_trail,
     validate_trail,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 
 from .fused import commute_check
-from .harness import DuplicateInWord, SweepFailure, rsk, run_sweep
+from .harness import CaseDescriptor, DuplicateInWord, SweepFailure, SweepSummary, check_case
+from .harness import rsk, run_sweep
 from .insertion import InvariantViolation, XAlreadyPresent, column_insert, row_insert
 from .render import RenderOptions, render_tableau, render_trail
 from .tableau import Tableau, TableauError, dump_tableau, parse_tableau
@@ -30,10 +32,6 @@ def _read_tableau(args: argparse.Namespace) -> Tableau:
     return parse_tableau(text)
 
 
-def _render_options(args: argparse.Namespace) -> RenderOptions:
-    return RenderOptions(convention=args.convention, format=args.format)
-
-
 def cmd_insert(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
     if args.mode == "row":
@@ -42,7 +40,7 @@ def cmd_insert(args: argparse.Namespace) -> int:
     else:
         result, trail = column_insert(args.value, t)
         row_trail, col_trail = None, trail
-    opts = _render_options(args)
+    opts = RenderOptions(args.convention, args.format)
     if args.annotate == "trails":
         print(render_tableau(t, opts, row_trail=row_trail, col_trail=col_trail))
         print()
@@ -76,7 +74,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
             "x->(T<-y)": report.right,
             "fused": report.fused,
         }
-        opts = _render_options(args)
+        opts = RenderOptions(args.convention, args.format)
         rendered = {name: render_tableau(tab, opts).splitlines() for name, tab in blocks.items()}
         height = max(len(lines) for lines in rendered.values())
         width = {
@@ -96,6 +94,11 @@ def cmd_commute(args: argparse.Namespace) -> int:
         print()
         print(f"intersection: {report.intersection.summary()}")
         print("EQUAL" if report.all_equal else "UNEQUAL")
+    try:  # the sweep's other checks too, so that verify's reproducer fails where verify did
+        check_case(CaseDescriptor(t, args.x, args.y), random.Random(0), SweepSummary())
+    except SweepFailure as err:
+        print(f"sweep failure: {err}", file=sys.stderr)
+        return 1
     return 0 if report.all_equal else 1
 
 
@@ -105,6 +108,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary = run_sweep(args.max_n, workers=workers, seed=args.seed)
     except SweepFailure as err:
         print(f"sweep failure: {err}", file=sys.stderr)
+        if err.invariant == "modify_property":  # commute does not redraw the random row
+            return 1
         t, x, y = err.case.tableau, err.case.x, err.case.y
         rows = "".join(f" '{row}'" for row in dump_tableau(t).splitlines())
         print(f"reproduce: printf '%s\\n'{rows} | schensted commute --x {x} --y {y}", file=sys.stderr)
@@ -117,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_rsk(args: argparse.Namespace) -> int:
     p, q = rsk(args.word)
-    opts = _render_options(args)
+    opts = RenderOptions(args.convention, args.format)
     print("P:")
     print(render_tableau(p, opts))
     print("Q:")
@@ -127,7 +132,7 @@ def cmd_rsk(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
-    print(render_tableau(t, _render_options(args)))
+    print(render_tableau(t, RenderOptions(args.convention, args.format)))
     return 0
 
 

@@ -1,12 +1,12 @@
 """Fused simultaneous insertion and the three-way commutation check.
 
-``fused_insert`` computes (x→T)←y in a single pass: it takes the column trail
-of x→T and the row trail of T←y, both read off the *original* tableau, slides
-each label to the next box of its own trail, and lets one conflict rule
-overwrite the box where the two trails meet and its two successors.  The
-compositional insertions are the oracle the fused result must match.
-``commute_check`` is the one analysis of a case: the lemma checks read the
-trails from its report.
+``commute_check`` is the one analysis of a case.  Its ``fused`` result
+computes (x→T)←y in a single pass: it takes the column trail of x→T and the
+row trail of T←y, both read off the *original* tableau, slides each label to
+the next box of its own trail, and lets one conflict rule overwrite the box
+where the two trails meet and its two successors.  The compositional
+insertions are the oracle the fused result must match; the lemma checks read
+the trails from the same report.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ class InvalidResult(InvariantViolation):
 
 
 @dataclass(frozen=True)
-class ConflictAssignment:
-    """Labels placed in the shared box S and its two successor boxes B, J (or none)."""
-
-    s_target: Label
-    b_target: Optional[Label]
-    j_target: Optional[Label]
-
-
-@dataclass(frozen=True)
 class CommutationReport:
     left: Tableau  # (x→T)←y
     right: Tableau  # x→(T←y)
@@ -51,8 +42,10 @@ class CommutationReport:
     left_row_trail: Trail  # row trail of (x→T)←y
 
 
-def resolve_conflict(a: Label, i: Label, s: Optional[Label]) -> ConflictAssignment:
-    """Assign labels to S, B, J where the two trails meet at the box S.
+def resolve_conflict(
+    a: Label, i: Label, s: Optional[Label]
+) -> tuple[Label, Optional[Label], Optional[Label]]:
+    """The labels of S, B and J (``None`` for none) where the two trails meet at S.
 
     ``a`` and ``i`` both want to slide into S, while ``s`` (``None`` when S
     was empty) could slide into either successor box; the order of ``a`` and
@@ -63,8 +56,8 @@ def resolve_conflict(a: Label, i: Label, s: Optional[Label]) -> ConflictAssignme
     if s is not None and not (a < s and i < s):
         raise LabelsNotDistinct(f"expected a={a} < s={s} and i={i} < s={s}")
     if i < a:
-        return ConflictAssignment(s_target=i, b_target=s, j_target=a)
-    return ConflictAssignment(s_target=a, b_target=i, j_target=s)
+        return i, s, a
+    return a, i, s
 
 
 def _fused(
@@ -78,23 +71,12 @@ def _fused(
             b_box, j_box = (s_box[0], s_box[1] + 1), (s_box[0] + 1, s_box[1])
         else:  # B and J follow S in the column and in the row trail.
             b_box, j_box = col.boxes[s_box[1] + 1], row.boxes[s_box[0] + 1]
-        rule = resolve_conflict(report.a, report.i, s)
-        targets = ((s_box, rule.s_target), (b_box, rule.b_target), (j_box, rule.j_target))
+        targets = zip((s_box, b_box, j_box), resolve_conflict(report.a, report.i, s))
         placements.update((box, v) for box, v in targets if v is not None)
     try:
         return _apply_placements(t, placements)
     except TableauError as err:
         raise InvalidResult(f"fused slide produced an invalid tableau: {err}") from err
-
-
-def fused_insert(t: Tableau, x: Label, y: Label) -> Tableau:
-    """Compute (x→T)←y from the two trails of the original tableau alone."""
-    if x == y:
-        raise LabelsNotDistinct(f"x and y must differ, got {x}")
-    _, col_trail = column_insert(x, t)
-    _, row_trail = row_insert(t, y)
-    report = classify_intersection(row_trail, col_trail, x, y)
-    return _fused(t, x, y, col_trail, row_trail, report)
 
 
 def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:

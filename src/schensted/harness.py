@@ -19,7 +19,7 @@ from typing import Iterator, Optional, get_args
 from .fused import commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
 # span tracer's tests look it up.
-from .insertion import InvariantViolation, _bump, insert_into_row, row_insert
+from .insertion import InvariantViolation, XAlreadyPresent, _bump, row_insert
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
@@ -142,14 +142,17 @@ def check_modify_property(
 
     If inserting x into the row bumps some y, a random valid modification of
     the row (y kept in place, nothing left of y increased) must bump the same
-    y.  Returns the bumped label, or None when x simply appends.
+    y.  Returns the bumped label, or None when x simply appends; raises
+    XAlreadyPresent when x is in the row.
     """
-    _, bumped = insert_into_row(row, x)
+    if x in row:
+        raise XAlreadyPresent(f"{x} already present in row")
+    # Bumping into a one-row list leaves the tuple row as it is and bumps out at most one label.
+    bumped = (_bump([row], x)[1] or [None])[0]
     if bumped is None:
         return None
-    y_pos = row.index(bumped)
-    modified = perturb_row(row, y_pos, rng)
-    _, bumped2 = insert_into_row(modified, x)
+    modified = perturb_row(row, row.index(bumped), rng)
+    bumped2 = (_bump([modified], x)[1] or [None])[0]
     if bumped2 != bumped:
         raise AssertionError(
             f"modified row {modified} bumped {bumped2}, expected {bumped}"
@@ -245,8 +248,12 @@ def run_sweep(max_n: int, workers: int = 1, seed: int = 0) -> SweepSummary:
                 for n in range(max_n + 1)
                 for shard in range(workers)
             ]
-            for fut in futures:
-                total.merge(fut.result())
+            try:
+                for fut in futures:  # in order: the failure raised is the smallest level's
+                    total.merge(fut.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # the levels not yet started never start
+                raise
     total.elapsed = time.perf_counter() - start
     return total
 

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal
 
 from .tableau import BoxCoord, Label, Tableau, TableauError, _check_writes, check_label
 
@@ -106,19 +106,6 @@ def _bump(
         labels.append(bumped)
         row[c] = x
         x = bumped
-
-
-def insert_into_row(row: tuple[Label, ...], x: Label) -> tuple[tuple[Label, ...], Optional[Label]]:
-    """Bump ``x`` into one strictly increasing row: the first step of ``_bump``.
-
-    Appends when ``x`` exceeds everything; otherwise replaces the smallest
-    element greater than ``x`` and reports it as bumped.
-    """
-    if x in row:
-        raise XAlreadyPresent(f"{x} already present in row")
-    rows = [row]
-    _, labels = _bump(rows, x)
-    return tuple(rows[0]), labels[0] if labels else None
 
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:

@@ -64,7 +64,6 @@ class IntersectionReport:
     b: Optional[Label] = None
     i: Optional[Label] = None
     j: Optional[Label] = None
-    adjacency: frozenset[str] = frozenset()
     configuration: Optional[str] = None
 
     def summary(self) -> str:
@@ -162,8 +161,7 @@ def classify_intersection(
     if configuration is None:
         raise ImpossibleConfiguration(f"adjacency {sorted(adjacency)} around {s_box}")
     return IntersectionReport(
-        "strong", s_box=s_box, s=s, a=a, b=b, i=i, j=j,
-        adjacency=frozenset(adjacency), configuration=configuration,
+        "strong", s_box=s_box, s=s, a=a, b=b, i=i, j=j, configuration=configuration
     )
 
 

@@ -194,6 +194,37 @@ class TestVerifyCommand:
         assert main(command[1:]) == 1
         assert "UNEQUAL" in capsys.readouterr().out
 
+    def test_reproducer_fails_for_a_lemma_check(self, capsys, monkeypatch):
+        import io
+        import shlex
+
+        from schensted import harness
+
+        monkeypatch.setattr(harness, "check_relative_position", lambda *args: False)
+        assert main(["verify", "--max-n", "3"]) == 1
+        failure, reproduce = capsys.readouterr().err.splitlines()
+        assert failure.startswith("sweep failure: relative_position failed")
+        words = shlex.split(reproduce)
+        bar = words.index("|")
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(row + "\n" for row in words[3:bar])))
+        assert main(words[bar + 2 :]) == 1
+        captured = capsys.readouterr()
+        assert "EQUAL" in captured.out.splitlines()
+        assert captured.err == failure + "\n"
+
+    def test_no_reproducer_for_the_random_bump_instance(self, capsys, monkeypatch):
+        from schensted import harness
+
+        def failing(row, x, rng):
+            raise AssertionError("planted")
+
+        monkeypatch.setattr(harness, "check_modify_property", failing)
+        assert main(["verify", "--max-n", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "sweep failure: modify_property failed for "
+            "CaseDescriptor(tableau=Tableau(rows=((3,),)), x=1, y=4): planted"
+        ]
+
     @pytest.mark.parametrize("requested,cpus,used", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
     def test_workers_clamped_to_cpu_count(self, requested, cpus, used, monkeypatch):
         seen = []

@@ -10,7 +10,6 @@ from schensted import (
     column_insert,
     commute_check,
     enumerate_cases,
-    fused_insert,
     resolve_conflict,
     row_insert,
     trail_agreement,
@@ -22,22 +21,17 @@ from conftest import WORKED_RESULT, WORKED_X, WORKED_Y
 
 class TestResolveConflict:
     def test_worked_example_branch(self):
-        out = resolve_conflict(a=11, i=10, s=13)
-        assert (out.s_target, out.b_target, out.j_target) == (10, 13, 11)
+        assert resolve_conflict(a=11, i=10, s=13) == (10, 13, 11)
 
     def test_i_greater_than_a(self):
-        out = resolve_conflict(a=1, i=3, s=4)
-        assert (out.s_target, out.b_target, out.j_target) == (1, 3, 4)
+        assert resolve_conflict(a=1, i=3, s=4) == (1, 3, 4)
 
     def test_i_less_than_a(self):
-        out = resolve_conflict(a=2, i=1, s=5)
-        assert (out.s_target, out.b_target, out.j_target) == (1, 5, 2)
+        assert resolve_conflict(a=2, i=1, s=5) == (1, 5, 2)
 
     def test_empty_s_places_nothing_in_one_successor(self):
-        out = resolve_conflict(a=3, i=4, s=None)
-        assert (out.s_target, out.b_target, out.j_target) == (3, 4, None)
-        out = resolve_conflict(a=3, i=2, s=None)
-        assert (out.s_target, out.b_target, out.j_target) == (2, None, 3)
+        assert resolve_conflict(a=3, i=4, s=None) == (3, 4, None)
+        assert resolve_conflict(a=3, i=2, s=None) == (2, None, 3)
 
     def test_rejects_equal_labels(self):
         with pytest.raises(LabelsNotDistinct):
@@ -50,32 +44,28 @@ class TestResolveConflict:
 
 class TestFusedInsert:
     def test_worked_example(self, worked):
-        assert fused_insert(worked, WORKED_X, WORKED_Y) == Tableau.from_rows(WORKED_RESULT)
+        assert commute_check(worked, WORKED_X, WORKED_Y).fused == Tableau.from_rows(WORKED_RESULT)
 
     def test_shared_empty_box_a_into_s(self):
         # i=4 > a=3: a takes the shared box, i goes to its right.
-        assert fused_insert(Tableau.from_rows([[2, 3]]), 1, 4) == Tableau.from_rows(
+        assert commute_check(Tableau.from_rows([[2, 3]]), 1, 4).fused == Tableau.from_rows(
             [[1, 2, 3, 4]]
         )
 
     def test_shared_empty_box_i_into_s(self):
         # i=2 < a=3: i takes the shared box, a goes above.
-        assert fused_insert(Tableau.from_rows([[2, 4]]), 3, 1) == Tableau.from_rows(
+        assert commute_check(Tableau.from_rows([[2, 4]]), 3, 1).fused == Tableau.from_rows(
             [[1, 4], [2], [3]]
         )
 
     def test_strong_with_empty_b(self):
-        assert fused_insert(Tableau.from_rows([[1, 4], [2, 5]]), 0, 3) == Tableau.from_rows(
+        assert commute_check(Tableau.from_rows([[1, 4], [2, 5]]), 0, 3).fused == Tableau.from_rows(
             [[0, 1, 3], [2, 4], [5]]
         )
 
     def test_disjoint(self):
         t = Tableau.from_rows([[1, 3], [2]])
-        assert fused_insert(t, 4, 5) == Tableau.from_rows([[1, 3, 5], [2], [4]])
-
-    def test_equal_values_rejected(self, worked):
-        with pytest.raises(LabelsNotDistinct):
-            fused_insert(worked, 7, 7)
+        assert commute_check(t, 4, 5).fused == Tableau.from_rows([[1, 3, 5], [2], [4]])
 
 
 class TestFusedValidation:
@@ -93,7 +83,7 @@ class TestFusedValidation:
         _, col = column_insert(4, self.T)
         _, row = row_insert(self.T, 5)  # appends at (0, 2), where 0 breaks the row
         report = classify_intersection(row, col, 4, 5)
-        assert _fused(self.T, 4, 5, col, row, report) == fused_insert(self.T, 4, 5)
+        assert _fused(self.T, 4, 5, col, row, report) == commute_check(self.T, 4, 5).fused
         with pytest.raises(InvalidResult):
             _fused(self.T, 4, 0, col, row, report)
 

@@ -233,6 +233,29 @@ class TestSweepFailure:
             run_sweep(2, workers=2)
         assert exc.value.invariant == "planted" and exc.value.detail == "in a worker"
 
+    def test_pool_stops_at_the_first_failure(self, tmp_path, monkeypatch):
+        marker = tmp_path / "level-8-started"
+        real = harness.check_case
+
+        def failing_at_1(case, rng, summary):
+            size = case.tableau.size
+            if size == 1:
+                raise SweepFailure(case, "planted", "at n = 1")
+            if size == 8:
+                marker.touch()
+                return
+            real(case, rng, summary)
+
+        monkeypatch.setattr(harness, "check_case", failing_at_1)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        with pytest.raises(SweepFailure) as exc:
+            run_sweep(8, workers=2)
+        assert exc.value.detail == "at n = 1"
+        assert not marker.exists()
+
 
 class TestRsk:
     def test_insertion_tableau_validated_once_per_word(self, monkeypatch):

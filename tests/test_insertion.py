@@ -15,7 +15,6 @@ from schensted import (
     XAlreadyPresent,
     column_insert,
     enumerate_cases,
-    insert_into_row,
     row_insert,
     rsk,
     slide_trail,
@@ -29,24 +28,6 @@ from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y, ran
 
 def steps_of(trail):
     return list(zip(trail.boxes, trail.labels + (None,)))
-
-
-class TestInsertIntoRow:
-    def test_empty_row(self):
-        assert insert_into_row((), 5) == ((5,), None)
-
-    def test_append(self):
-        assert insert_into_row((1, 3), 5) == ((1, 3, 5), None)
-
-    def test_bump_first_row_of_worked_example(self):
-        assert insert_into_row((1, 3, 5, 9, 12, 16), 8) == ((1, 3, 5, 8, 12, 16), 9)
-
-    def test_bump_second_row_of_worked_example(self):
-        assert insert_into_row((2, 6, 10, 15), 9) == ((2, 6, 9, 15), 10)
-
-    def test_x_already_present(self):
-        with pytest.raises(XAlreadyPresent):
-            insert_into_row((1, 3), 3)
 
 
 class TestRowInsert:
@@ -354,8 +335,8 @@ class TestTrailInvariants:
             _, rt = row_insert(t, y)
             labels = (y,) + rt.labels
             for u, box, label in zip(labels, rt.boxes, rt.labels):
-                _, bumped = insert_into_row(t.rows[box[0]], u)
-                assert bumped == label
+                _, one_row = row_insert(Tableau.from_rows([t.rows[box[0]]]), u)
+                assert one_row.labels[:1] == (label,)
 
 
 def enumerated_insertions(n):
@@ -435,8 +416,6 @@ class TestRowsNotShared:
             for result in results:
                 assert all(type(row) is tuple for row in result.rows)
                 hash(result)
-            if t.rows:
-                assert type(insert_into_row(t.rows[0], y)[0]) is tuple
             assert (rows_copy(t), rows_copy(after_row), rows_copy(after_col)) == (before, *inserted)
 
     @pytest.mark.parametrize(
@@ -469,6 +448,21 @@ class TestBumpStability:
 
     def test_append_case_returns_none(self):
         assert check_modify_property((1, 2), 9, random.Random(0)) is None
+
+    @pytest.mark.parametrize(
+        "row,x,bumped",
+        [
+            pytest.param((), 5, None, id="empty-row"),
+            pytest.param((1, 3, 5, 9, 12, 16), 8, 9, id="worked-row-0"),
+            pytest.param((2, 6, 10, 15), 9, 10, id="worked-row-1"),
+        ],
+    )
+    def test_returns_the_bumped_label(self, row, x, bumped):
+        assert check_modify_property(row, x, random.Random(0)) == bumped
+
+    def test_x_already_present(self):
+        with pytest.raises(XAlreadyPresent):
+            check_modify_property((1, 3), 3, random.Random(0))
 
     @given(
         st.lists(st.integers(min_value=0, max_value=60), min_size=2, unique=True),

@@ -174,7 +174,6 @@ class TestClassification:
         assert report.variant == "strong"
         assert report.s_box == (2, 1)
         assert (report.i, report.a, report.s, report.j, report.b) == (10, 11, 13, 18, 14)
-        assert report.adjacency == frozenset({"J", "B"})
         assert report.configuration == "JB"
 
     def test_strong_with_defaults(self):
