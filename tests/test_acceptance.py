@@ -141,11 +141,11 @@ def test_criterion_5_bump_stability_randomized():
         x = rng.randrange(row[-1] + 1)
         if x in row:
             continue
-        if check_modify_property(row, x, rng) is not None:
+        if check_modify_property(row, x) is not None:
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report(5, f"10,000 randomized bump-stability instances passed in {elapsed:.2f} s")
+    report(5, f"both extremes of 10,000 random bump-stability rows passed in {elapsed:.2f} s")
 
 
 def test_criterion_6_reversal_application():

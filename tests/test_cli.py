@@ -212,24 +212,37 @@ class TestVerifyCommand:
         assert "EQUAL" in captured.out.splitlines()
         assert captured.err == failure + "\n"
 
-    def test_no_reproducer_for_the_random_bump_instance(self, capsys, monkeypatch):
+    def test_reproducer_fails_for_the_bump_stability_check(self, capsys, monkeypatch):
+        import io
+        import shlex
+
         from schensted import harness
 
-        def failing(row, x, rng):
+        def planted(row, x):
             raise AssertionError("planted")
 
-        monkeypatch.setattr(harness, "check_modify_property", failing)
+        monkeypatch.setattr(harness, "check_modify_property", planted)
         assert main(["verify", "--max-n", "1"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
+        failure, reproduce = capsys.readouterr().err.splitlines()
+        assert failure == (
             "sweep failure: modify_property failed for "
             "CaseDescriptor(tableau=Tableau(rows=((3,),)), x=1, y=4): planted"
-        ]
+        )
+        words = shlex.split(reproduce)
+        bar = words.index("|")
+        assert words[3:bar] == ["3"]
+        assert words[bar + 1 :] == ["schensted", "commute", "--x", "1", "--y", "4"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+        assert main(words[bar + 2 :]) == 1
+        captured = capsys.readouterr()
+        assert "EQUAL" in captured.out.splitlines()
+        assert captured.err == failure + "\n"
 
     @pytest.mark.parametrize("requested,cpus,used", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
     def test_workers_clamped_to_cpu_count(self, requested, cpus, used, monkeypatch):
         seen = []
 
-        def fake_sweep(max_n, workers, seed):  # starts no process
+        def fake_sweep(max_n, workers):  # starts no process
             seen.append(workers)
             return SweepSummary()
 
@@ -246,6 +259,12 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_takes_no_seed(self, capsys):  # the sweep draws no random numbers
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 class TestPackageExports:

@@ -143,6 +143,21 @@ class TestRunSweep:
         # All five configurations already occur at n <= 4.
         assert all(v >= 1 for v in summary.configuration_counts.values())
 
+    @pytest.mark.parametrize("max_n,workers", [(4, 1), (3, 2)])
+    def test_draws_no_random_number(self, max_n, workers, monkeypatch):
+        def no_random(*args):
+            raise AssertionError("the sweep seeded a random number generator")
+
+        monkeypatch.setattr(random, "Random", no_random)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        summary = run_sweep(max_n, workers=workers)
+        assert summary.cases_total == sum(
+            INVOLUTION_NUMBERS[n] * (n + 1) * (n + 2) for n in range(max_n + 1)
+        )
+
     def test_worker_count_does_not_change_results(self):
         single = run_sweep(3, workers=1)
         multi = run_sweep(3, workers=2)
@@ -188,7 +203,7 @@ class TestCheckCase:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         summary = SweepSummary()
-        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), summary)
+        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, summary)
         assert summary.cases_total == 1
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
@@ -203,13 +218,13 @@ class TestCheckCase:
         monkeypatch.setattr(
             insertion, "_check_writes", lambda *args: local.append(args) or original_local(*args)
         )
-        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), SweepSummary())
+        check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
         assert (len(full), len(local)) == (0, 3)
 
     def test_planted_fault_in_row_insert_is_caught(self, worked, monkeypatch):
         monkeypatch.setattr(fused, "row_insert", row_insert_reversing_row_0)
         with pytest.raises(SweepFailure):
-            check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), random.Random(0), SweepSummary())
+            check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
 
 
 class TestSweepFailure:

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import partial
 from itertools import permutations
 
@@ -20,8 +21,9 @@ from schensted import (
     slide_trail,
     validate_trail,
 )
+from schensted import harness
 from schensted.harness import check_modify_property
-from schensted.insertion import Trail, _apply_placements, _trail_placements
+from schensted.insertion import Trail, _apply_placements, _bump, _trail_placements
 
 from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y, random_words
 
@@ -435,19 +437,47 @@ class TestRowsNotShared:
             assert word == list(w)
 
 
+def bumped_and_modified_rows(row, x, bump=_bump):
+    """check_modify_property's result, and the rows it bumps x into after the row itself."""
+    seen = []
+
+    def spy(rows, x, by_column=False):
+        seen.append(tuple(rows[0]))  # before the bump writes into it
+        return bump(rows, x, by_column)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_bump", spy)
+        y = check_modify_property(row, x)
+    assert seen[0] == row
+    return y, seen[1:]
+
+
+def bump_off_by_one_when(fault):
+    """A planted fault: a bump that reports the label after the bumped one on rows where ``fault`` holds."""
+
+    def bump(rows, x, by_column=False):
+        planted = fault(rows[0])
+        boxes, labels = _bump(rows, x, by_column)
+        return boxes, [labels[0] + 1] if planted and labels else labels
+
+    return bump
+
+
 class TestBumpStability:
     def test_seeded_random_instances(self):
         rng = random.Random(20230601)
         for _ in range(500):
-            size = rng.randint(1, 8)
-            row = tuple(sorted(rng.sample(range(40), size)))
-            x = rng.randrange(row[-1])  # guarantees a bump unless x present
-            if x in row:
-                continue
-            assert check_modify_property(row, x, rng) is not None
+            # At most 7 labels below 40, then 40: a gap below 40 is left for x, which bumps.
+            row = (*sorted(rng.sample(range(40), rng.randint(0, 7))), 40)
+            x = rng.choice([v for v in range(40) if v not in row])
+            y, modified = bumped_and_modified_rows(row, x)
+            assert y == min(v for v in row if v > x)
+            assert len(modified) == 2
+            for m in modified:
+                assert min(v for v in m if v > x) == y
 
     def test_append_case_returns_none(self):
-        assert check_modify_property((1, 2), 9, random.Random(0)) is None
+        assert bumped_and_modified_rows((1, 2), 9) == (None, [])
 
     @pytest.mark.parametrize(
         "row,x,bumped",
@@ -458,17 +488,54 @@ class TestBumpStability:
         ],
     )
     def test_returns_the_bumped_label(self, row, x, bumped):
-        assert check_modify_property(row, x, random.Random(0)) == bumped
+        assert check_modify_property(row, x) == bumped
 
     def test_x_already_present(self):
         with pytest.raises(XAlreadyPresent):
-            check_modify_property((1, 3), 3, random.Random(0))
+            check_modify_property((1, 3), 3)
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=60), min_size=2, unique=True),
-        st.randoms(use_true_random=False),
-    )
-    def test_bumped_element_is_stable(self, labels, rnd):
+    @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, unique=True))
+    def test_bumped_element_is_stable(self, labels):
         row = tuple(sorted(labels))[1:]
         x = sorted(labels)[0]
-        check_modify_property(row, x, rnd)
+        assert check_modify_property(row, x) == row[0]
+
+    def test_the_worked_extremes(self):
+        assert bumped_and_modified_rows((2, 6, 10, 15, 20), 9) == (
+            10,
+            [(2, 6, 10, 11, 12), (0, 1, 10, 14, 18)],
+        )
+
+    @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2, unique=True))
+    def test_extremes_lie_in_the_random_modification_range(self, labels):
+        # The range the sweep's random modification once drew from: label k left
+        # of y anywhere in [k, its old value], steps of 1 to 4 right of it.
+        x, row = labels[0], tuple(sorted(labels[1:]))
+        y, modified = bumped_and_modified_rows(row, x)
+        if y is None:
+            assert x > row[-1] and modified == []
+            return
+        p = row.index(y)
+        tightest, loosest = modified
+        for m in modified:
+            assert len(m) == len(row) and m[p] == y
+            assert all(a < b for a, b in zip(m, m[1:]))
+            assert all(k <= m[k] <= row[k] for k in range(p))
+            assert all(1 <= b - a <= 4 for a, b in zip(m[p:], m[p + 1 :]))
+        assert tightest[: p + 1] == row[: p + 1] and loosest[:p] == tuple(range(p))
+        assert tightest[p:] == tuple(range(y, y + len(row) - p))
+        assert loosest[p:] == tuple(range(y, y + 4 * (len(row) - p), 4))
+
+    @pytest.mark.parametrize(
+        "fault,caught_on",
+        [
+            pytest.param(lambda row: row[0] == 0, (0, 1, 10, 14), id="zero-first-loosest"),
+            pytest.param(lambda row: row[3] == 11, (2, 6, 10, 11), id="adjacent-next-tightest"),
+        ],
+    )
+    def test_planted_fault_is_caught_on_an_extreme(self, fault, caught_on):
+        row, x = (2, 6, 10, 15), 9  # the fault does not hold on the row itself
+        assert not fault(row)
+        expected = f"modified row {caught_on} bumped 11, expected 10"
+        with pytest.raises(AssertionError, match=f"^{re.escape(expected)}$"):
+            bumped_and_modified_rows(row, x, bump_off_by_one_when(fault))
