@@ -50,7 +50,6 @@ from .tableau import (
     ShapeNotFerrers,
     Tableau,
     TableauError,
-    conjugate,
     dump_tableau,
     parse_tableau,
 )

@@ -114,7 +114,8 @@ def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
-    return Tableau._trusted(tuple(map(tuple, rows))), Trail(kind, tuple(boxes), tuple(labels))
+    result = Tableau._trusted(tuple(map(tuple, rows)), t.labels | {x})
+    return result, Trail(kind, tuple(boxes), tuple(labels))
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:
@@ -130,11 +131,12 @@ def column_insert(x: Label, t: Tableau) -> tuple[Tableau, Trail]:
 def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     """Rebuild an insertion result from its trail.
 
-    Each labeled step's label moves to the next step's box and ``inserted``
-    fills the first box.  Raises TrailInconsistentWithTableau when the trail
-    is empty, ends in a box of the tableau, or has a box before the last that
-    is unlabeled or does not match the tableau it claims to come from.
+    Each labeled step's label moves to the next step's box and ``inserted`` fills the first box.
+    Raises TableauError unless ``inserted`` is a natural, XAlreadyPresent if it is in the tableau,
+    and TrailInconsistentWithTableau if the trail is empty, ends in a box of the tableau, or has a
+    box before the last that is unlabeled or whose label is not the tableau's.
     """
+    check_label(inserted)  # before hashing it
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
     boxes, labels = trail.boxes, trail.labels
@@ -157,17 +159,21 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap.
 
     A later placement to the same box wins; only what the writes can break is checked.
+    Only the rows written are copied: the result shares every other row with ``t``.
     """
-    rows = [list(row) for row in t.rows]
+    rows = list(t.rows)
     written = sorted(dict(placements).items(), key=itemgetter(0))
     for (r, c), label in written:
-        if 0 <= r < len(rows) and 0 <= c < len(rows[r]):
-            rows[r][c] = label
-        elif 0 <= r < len(rows) and c == len(rows[r]):
-            rows[r].append(label)
-        elif r == len(rows) and c == 0:
-            rows.append([label])
-        else:
+        if r == len(rows) and c == 0:
+            rows.append([])
+        if not (0 <= r < len(rows) and 0 <= c <= len(rows[r])):
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
+        row = rows[r]
+        if type(row) is tuple:
+            row = rows[r] = list(row)
+        if c < len(row):
+            row[c] = label
+        else:
+            row.append(label)
     _check_writes(t, rows, written)
     return Tableau._trusted(tuple(map(tuple, rows)))

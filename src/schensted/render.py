@@ -29,7 +29,8 @@ def _cell_texts(
     latex = (r"\emptyset", r"\underline{%s}", r"\mid\!\!%s")
     empty, under, bar = latex if fmt == "latex" else ("*", "%s_", "|%s")  # new box, trail marks
     cells: dict[BoxCoord, str] = {}
-    for box in set(t.boxes()) | row_boxes | col_boxes:
+    boxes = {(r, c) for r, row in enumerate(t.rows) for c in range(len(row))}
+    for box in boxes | row_boxes | col_boxes:
         label = t.get(box)
         text = str(label) if label is not None else empty
         if box in row_boxes:

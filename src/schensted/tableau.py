@@ -16,16 +16,24 @@ the step under test:
 
 Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
+
+``Tableau.labels``, the frozenset of labels that ``v in t`` and the placement
+check read, is built from the rows on first use and cached; the results of
+``row_insert`` and ``column_insert`` inherit their parent's plus the inserted
+value.  It is not a field: ``==``, ``hash`` and ``repr`` read the rows alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 Label = int
 BoxCoord = tuple[int, int]  # (row, col), both 0-based
 Shape = tuple[int, ...]
+Rows = tuple[tuple[Label, ...], ...]
 
 
 class TableauError(ValueError):
@@ -58,7 +66,7 @@ def check_label(v: object) -> None:
         raise TableauError(f"label {v!r} is not a natural")
 
 
-def _validate(rows: tuple[tuple[Label, ...], ...]) -> None:
+def _validate(rows: Rows) -> None:
     for r, row in enumerate(rows):
         if len(row) == 0:
             raise ShapeNotFerrers(f"row {r} is empty", (r, 0))
@@ -105,9 +113,8 @@ def _check_writes(
     if len(labels) != len(written):
         raise DuplicateLabel("a label is written twice")
     new = labels - overwritten
-    for row in old:
-        if not new.isdisjoint(row):
-            raise DuplicateLabel(f"written labels {sorted(new.intersection(row))} are in the tableau")
+    if not new.isdisjoint(t.labels):
+        raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
     for (r, c), v in written:
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
@@ -123,29 +130,34 @@ def _check_writes(
 class Tableau:
     """Immutable tableau; ``rows[0]`` is the first (bottom) row."""
 
-    rows: tuple[tuple[Label, ...], ...] = ()
+    rows: Rows = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # results share rows
         _validate(self.rows)
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Label, ...], ...]) -> "Tableau":
-        """Wrap rows already known to be valid, skipping ``_validate``."""
+    def _trusted(cls, rows: Rows, labels: Optional[frozenset[Label]] = None) -> "Tableau":
+        """Wrap rows known to be valid, skipping ``_validate``; ``labels`` is their index."""
         t = object.__new__(cls)
-        object.__setattr__(t, "rows", rows)
+        state = t.__dict__  # written directly: the dataclass is frozen
+        state["rows"] = rows
+        if labels is not None:
+            state["labels"] = labels
         return t
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Label]]) -> "Tableau":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple(rows))
+
+    @cached_property
+    def labels(self) -> frozenset[Label]:
+        """Every label of the tableau, built from the rows on first use."""
+        return frozenset(chain.from_iterable(self.rows))
 
     @property
     def shape(self) -> Shape:
         return tuple(len(row) for row in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
 
     def transpose(self) -> "Tableau":
         """Reflect across the diagonal: box (r, c) moves to (c, r)."""
@@ -156,10 +168,7 @@ class Tableau:
         )
 
     def __contains__(self, v: Label) -> bool:
-        for row in self.rows:
-            if v in row:
-                return True
-        return False
+        return v in self.labels
 
     def get(self, box: BoxCoord) -> Optional[Label]:
         """Label at ``box``, or ``None`` when the box lies outside the shape."""
@@ -167,22 +176,6 @@ class Tableau:
         if 0 <= r < len(self.rows) and 0 <= c < len(self.rows[r]):
             return self.rows[r][c]
         return None
-
-    def entries(self) -> tuple[Label, ...]:
-        """All labels, sorted increasingly."""
-        return tuple(sorted(v for row in self.rows for v in row))
-
-    def boxes(self) -> Iterable[BoxCoord]:
-        for r, row in enumerate(self.rows):
-            for c in range(len(row)):
-                yield (r, c)
-
-
-def conjugate(shape: Shape) -> Shape:
-    """Conjugate (transposed) partition of a shape."""
-    if not shape:
-        return ()
-    return tuple(sum(1 for n in shape if n > c) for c in range(shape[0]))
 
 
 def parse_tableau(text: str) -> Tableau:

@@ -28,7 +28,7 @@ from schensted import fused, harness, insertion, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
 from schensted.insertion import _bump
 
-from conftest import WORKED_X, WORKED_Y, random_words
+from conftest import WORKED_ROWS, WORKED_X, WORKED_Y, random_words
 
 
 def row_insert_reversing_row_0(t, x):
@@ -82,7 +82,7 @@ class TestEnumerateSyt:
         for n in range(7):
             seen = set()
             for t in enumerate_syt(n):
-                assert t.entries() == tuple(range(1, n + 1))
+                assert sorted(t.labels) == list(range(1, n + 1))
                 assert t not in seen
                 seen.add(t)
 
@@ -105,7 +105,7 @@ class TestEnumerateCases:
         # as many as there are order types of (T, x, y), cover every one.
         standardised = set()
         for case in enumerate_cases(n):
-            labels = sorted([*case.tableau.entries(), case.x, case.y])
+            labels = sorted([*case.tableau.labels, case.x, case.y])
             rank = {v: k for k, v in enumerate(labels, 1)}
             rows = tuple(tuple(rank[v] for v in row) for row in case.tableau.rows)
             standardised.add((rows, rank[case.x], rank[case.y]))
@@ -126,7 +126,7 @@ class TestEnumerateCases:
             assert case.x != case.y
             assert case.x not in case.tableau
             assert case.y not in case.tableau
-            assert case.tableau.size == n
+            assert len(case.tableau.labels) == n
 
 
 class TestRunSweep:
@@ -207,6 +207,18 @@ class TestCheckCase:
         assert summary.cases_total == 1
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
+    def test_one_label_index_per_tableau(self, worked, monkeypatch):
+        # The case's tableau indexes its labels once; every insertion result inherits its
+        # parent's index, and no other tableau builds one from its rows.
+        values = [0, WORKED_X, WORKED_Y, 20, 21]  # a value in every gap of the labels 1..19
+        assert not any(v in row for row in WORKED_ROWS for v in values)
+        built = []
+        build = Tableau.labels.func
+        monkeypatch.setattr(Tableau.labels, "func", lambda t: built.append(t) or build(t))
+        for x, y in permutations(values, 2):
+            check_case(CaseDescriptor(worked, x, y), None, SweepSummary())
+        assert len(built) == 1 and built[0] is worked
+
     def test_three_validations_per_case(self, worked, monkeypatch):
         # The fused result and the two slide_trail reconstructions, each checked
         # locally; the insertions build their tableaux unchecked, and no full
@@ -253,7 +265,7 @@ class TestSweepFailure:
         real = harness.check_case
 
         def failing_at_1(case, rng, summary):
-            size = case.tableau.size
+            size = len(case.tableau.labels)
             if size == 1:
                 raise SweepFailure(case, "planted", "at n = 1")
             if size == 8:
@@ -340,8 +352,8 @@ class TestRsk:
         for w in permutations(range(1, n + 1)):
             p, q = rsk(list(w))
             assert p.shape == q.shape
-            assert p.entries() == tuple(sorted(w))
-            assert q.entries() == tuple(range(1, n + 1))
+            assert sorted(p.labels) == sorted(w)
+            assert sorted(q.labels) == list(range(1, n + 1))
 
 
 class TestReversal:
@@ -366,7 +378,7 @@ class TestRelabelingInvariance:
         rng = random.Random(7)
         cases = [c for n in range(5) for c in enumerate_cases(n)]
         for case in rng.sample(cases, 60):
-            values = sorted(case.tableau.entries() + (case.x, case.y))
+            values = sorted([*case.tableau.labels, case.x, case.y])
             offsets = [rng.randint(0, 3) for _ in values]
             image = {}
             shift = 0

@@ -79,12 +79,14 @@ class TestColumnInsert:
 
 
 class TestInsertedLabel:
-    @pytest.mark.parametrize("x", [-3, True, 2.5, "4"])
+    @pytest.mark.parametrize("x", [-3, True, 2.5, "4", [4]])
     def test_non_natural_rejected(self, worked, x):
         with pytest.raises(TableauError):
             row_insert(worked, x)
         with pytest.raises(TableauError):
             column_insert(x, worked)
+        with pytest.raises(TableauError):
+            slide_trail(worked, row_insert(worked, WORKED_Y)[1], x)
 
 
 class TestApplyPlacements:
@@ -206,7 +208,7 @@ def placements_with_faults(draw):
     written = {b for b, _ in placements}
     occupied = written.union(cells)
     last = placements[-1][0]
-    above_all = max(t.entries()) + 1  # odd, so not in the tableau
+    above_all = max(t.labels) + 1  # odd, so not in the tableau
     if fault == "gap":
         gaps = [(r, len(row) + 1) for r, row in enumerate(rows)] + [(len(rows) + 1, 0), (-1, 0)]
         placements.append((draw(st.sampled_from(gaps)), above_all))
@@ -324,10 +326,10 @@ class TestTrailInvariants:
             ct_tab, ct = column_insert(x, t)
             for trail, tab, v in ((rt, rt_tab, y), (ct, ct_tab, x)):
                 validate_trail(trail)
-                assert tab.size == t.size + 1
+                assert len(tab.labels) == len(t.labels) + 1
                 assert tab.get(trail.created_box) is not None
                 assert t.get(trail.created_box) is None
-                assert tab.entries() == tuple(sorted(t.entries() + (v,)))
+                assert sorted(tab.labels) == sorted([*t.labels, v])
 
     @pytest.mark.parametrize("n", range(5))
     def test_bumping_determinism(self, n):
@@ -390,17 +392,16 @@ def rows_copy(t):
     return [list(row) for row in t.rows]
 
 
+PAIRS = [pytest.param(partial(case_pairs, n), id=str(n)) for n in range(6)] + [
+    pytest.param(partial(random_large_pairs, seed), id=f"rsk-300-cells-seed-{seed}")
+    for seed in (1, 2, 3)
+]
+
+
 class TestRowsNotShared:
     """The kernel writes rows in place as lists; no list may leak into or out of a tableau."""
 
-    @pytest.mark.parametrize(
-        "pairs",
-        [pytest.param(partial(case_pairs, n), id=str(n)) for n in range(6)]
-        + [
-            pytest.param(partial(random_large_pairs, seed), id=f"rsk-300-cells-seed-{seed}")
-            for seed in (1, 2, 3)
-        ],
-    )
+    @pytest.mark.parametrize("pairs", PAIRS)
     def test_results_are_tuples_and_inputs_unchanged(self, pairs):
         for t, x, y in pairs():
             before = rows_copy(t)
@@ -419,6 +420,19 @@ class TestRowsNotShared:
                 assert all(type(row) is tuple for row in result.rows)
                 hash(result)
             assert (rows_copy(t), rows_copy(after_row), rows_copy(after_col)) == (before, *inserted)
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_placements_copy_only_the_rows_they_write(self, pairs):
+        for t, x, y in pairs():
+            rows, before = t.rows, rows_copy(t)
+            for trail, v in ((row_insert(t, y)[1], y), (column_insert(x, t)[1], x)):
+                placements = _trail_placements(trail, v)
+                result = _apply_placements(t, placements)
+                assert t.rows is rows and rows_copy(t) == before
+                assert all(type(row) is tuple for row in result.rows)
+                written = {r for (r, _), _ in placements}
+                for r, row in enumerate(rows):
+                    assert (result.rows[r] is row) == (r not in written), (r, written)
 
     @pytest.mark.parametrize(
         "words",

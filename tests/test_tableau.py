@@ -1,5 +1,7 @@
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schensted import (
@@ -9,22 +11,31 @@ from schensted import (
     ShapeNotFerrers,
     Tableau,
     TableauError,
-    conjugate,
+    column_insert,
     dump_tableau,
     enumerate_syt,
     parse_tableau,
+    row_insert,
+    rsk,
+    slide_trail,
 )
+from schensted.insertion import _apply_placements, _trail_placements
 
 from conftest import WORKED_ROWS
+
+
+def conjugate(shape):
+    """Conjugate (transposed) partition of a shape: the oracle for ``transpose``."""
+    return tuple(sum(1 for n in shape if n > c) for c in range(shape[0])) if shape else ()
 
 
 class TestConstruction:
     def test_empty(self):
         assert Tableau.from_rows([]).rows == ()
-        assert Tableau().size == 0
+        assert len(Tableau().labels) == 0
 
     def test_worked_example_is_valid(self, worked):
-        assert worked.size == 17
+        assert len(worked.labels) == 17
 
     def test_shape_not_ferrers(self):
         with pytest.raises(ShapeNotFerrers) as exc:
@@ -52,6 +63,16 @@ class TestConstruction:
     def test_negative_label_rejected(self):
         with pytest.raises(TableauError):
             Tableau.from_rows([[-1, 2]])
+
+    def test_list_rows_are_stored_as_tuples(self):
+        # Insertion results share the rows they do not write, so a row must not be a list.
+        rows = [[1, 3], [4]]
+        t = Tableau(rows)
+        assert t.rows == ((1, 3), (4,)) and t == Tableau.from_rows(rows)
+        row_insert(t, 2)
+        _apply_placements(t, [((0, 1), 2)])
+        assert t.rows == ((1, 3), (4,)) and rows == [[1, 3], [4]]
+        assert t.labels == {1, 3, 4}
 
 
 # Rows whose display-order reading is invalid too, so parse_tableau reports them.
@@ -107,8 +128,8 @@ class TestAccessors:
         assert t.get((1, 1)) is None
         assert t.get((0, 1)) == 3
 
-    def test_entries(self):
-        assert Tableau.from_rows([[1, 3], [2]]).entries() == (1, 2, 3)
+    def test_labels(self):
+        assert Tableau.from_rows([[1, 3], [2]]).labels == {1, 2, 3}
 
     def test_transpose(self, worked):
         assert Tableau().transpose() == Tableau()
@@ -127,7 +148,7 @@ class TestTransposeProperties:
     def test_involution_and_entries_over_corpus(self, n):
         for t in enumerate_syt(n):
             tt = t.transpose()
-            assert tt.entries() == t.entries()
+            assert tt.labels == t.labels
             assert tt.transpose() == t
             assert tt.shape == conjugate(t.shape)
 
@@ -168,4 +189,51 @@ def test_single_row_construction(labels):
     row = tuple(sorted(labels))
     t = Tableau((row,))
     assert t.shape == (len(row),)
-    assert t.entries() == row
+    assert tuple(sorted(t.labels)) == row
+
+
+def row_scan(t, v):
+    return any(v in row for row in t.rows)
+
+
+@st.composite
+def indexed_tableaux(draw):
+    """Tableaux from every producer, each paired with how it was made."""
+    n = draw(st.integers(0, 24))
+    word = draw(st.permutations(range(2, 2 * n + 2, 2)))  # even labels; odd values are gaps
+    p, q = rsk(word)
+    gaps = st.integers(0, n).map(lambda g: 2 * g + 1)
+    x, y = draw(st.lists(gaps, min_size=2, max_size=2, unique=True))
+    after_row, row_trail = row_insert(p, y)
+    after_col, col_trail = column_insert(x, p)
+    syt = list(enumerate_syt(min(n, 6)))
+    made = {
+        "constructor": Tableau(p.rows),
+        "parse_tableau": parse_tableau(dump_tableau(p)),
+        "enumerate_syt": draw(st.sampled_from(syt)),
+        "rsk P": p,
+        "rsk Q": q,
+        "row_insert": after_row,
+        "column_insert": after_col,
+        "row_insert of column_insert": row_insert(after_col, y)[0],
+        "slide_trail": slide_trail(p, row_trail, y),
+        "_apply_placements": _apply_placements(p, _trail_placements(col_trail, x)),
+    }
+    made["pickled, index not built"] = pickle.loads(pickle.dumps(Tableau._trusted(p.rows)))
+    made["pickled, index built"] = pickle.loads(pickle.dumps(after_row))
+    return made
+
+
+class TestLabelIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(indexed_tableaux())
+    def test_index_matches_a_row_scan(self, made):
+        for source, t in made.items():
+            plain = Tableau._trusted(t.rows)
+            assert t.labels == {v for row in t.rows for v in row}, source
+            top = max(t.labels, default=0)
+            for v in [*range(-1, top + 3), True, False, 2.0, "3"]:  # every label and every gap
+                assert (v in t) == row_scan(t, v), (source, v)
+            assert "labels" in vars(t) and "labels" not in vars(plain)
+            assert plain == t and hash(plain) == hash(t) and repr(plain) == repr(t), source
+            assert "labels" not in vars(plain)  # equality, hash and repr read the rows alone
