@@ -12,7 +12,7 @@ the step under test:
   result and the ``slide_trail`` reconstructions;
 - the tableaux ``P`` and ``Q`` that ``rsk`` returns, each once per word;
 - one labelled tableau per SYT in ``harness.enumerate_cases``, shared by its cases;
-- each value that ``row_insert``, ``column_insert`` or ``rsk`` inserts (``check_label``).
+- each inserted value (``check_label``): ``row_insert``, ``column_insert``, ``slide_trail``, ``rsk``.
 
 Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
