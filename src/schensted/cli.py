@@ -53,17 +53,10 @@ def cmd_commute(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
     report = commute_check(t, args.x, args.y)
     if args.porcelain:
-        for name, tab in (
-            ("left", report.left),
-            ("right", report.right),
-            ("fused", report.fused),
-        ):
+        for name, tab in (("left", report.left), ("right", report.right), ("fused", report.fused)):
             for r, row in enumerate(tab.rows):
                 print(f"{name}.row{r}={' '.join(str(v) for v in row)}")
-        inter = report.intersection
-        print(f"intersection.variant={inter.variant}")
-        for key in ("s_box", "s", "a", "b", "i", "j", "configuration"):
-            value = getattr(inter, key)
+        for key, value in report.intersection._asdict().items():  # the variant first
             if value is not None:
                 print(f"intersection.{key}={value}")
         print(f"all_equal={str(report.all_equal).lower()}")

@@ -11,8 +11,7 @@ the trails from the same report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .insertion import InvariantViolation, Trail, column_insert, row_insert
 from .insertion import _apply_placements, _trail_placements
@@ -28,8 +27,7 @@ class InvalidResult(InvariantViolation):
     """The fused slide produced an invalid tableau (never expected)."""
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     left: Tableau  # (x→T)←y
     right: Tableau  # x→(T←y)
     fused: Tableau
@@ -64,7 +62,7 @@ def _fused(
     t: Tableau, x: Label, y: Label, col: Trail, row: Trail, report: IntersectionReport
 ) -> Tableau:
     """Slide both trails of ``t`` at once; the conflict rule overrides S, B and J."""
-    placements = dict(_trail_placements(col, x) + _trail_placements(row, y))
+    placements = _trail_placements(col, x) + _trail_placements(row, y)  # later ones win
     if report.variant != "disjoint":
         s_box, s = report.s_box, report.s
         if s is None:  # S ends both trails: B and J are its right and upper neighbors.
@@ -72,7 +70,7 @@ def _fused(
         else:  # B and J follow S in the column and in the row trail.
             b_box, j_box = col.boxes[s_box[1] + 1], row.boxes[s_box[0] + 1]
         targets = zip((s_box, b_box, j_box), resolve_conflict(report.a, report.i, s))
-        placements.update((box, v) for box, v in targets if v is not None)
+        placements += [(box, v) for box, v in targets if v is not None]
     try:
         return _apply_placements(t, placements)
     except TableauError as err:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator, Optional, get_args
+from typing import Iterator, NamedTuple, Optional, get_args
 
 from .fused import commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
@@ -31,8 +31,7 @@ class DuplicateInWord(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
+class CaseDescriptor(NamedTuple):
     tableau: Tableau
     x: Label
     y: Label
@@ -205,11 +204,24 @@ def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None
     summary.cases_total += 1
 
 
+_stop = None  # in a pool worker, the event run_sweep sets once a level has failed
+
+
+def _watch(stop) -> None:
+    """Pool initializer: keep the parent's stop event for ``_sweep_level``."""
+    global _stop
+    _stop = stop
+
+
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
-    summary = SweepSummary()
+    summary, tableau = SweepSummary(), None
     for idx, case in enumerate(enumerate_cases(n)):
         if num_shards > 1 and idx % num_shards != shard:
             continue
+        if case.tableau is not tableau:  # between tableaux; run_sweep discards a stopped summary
+            tableau = case.tableau
+            if _stop is not None and _stop.is_set():
+                break
         check_case(case, None, summary)
     return summary
 
@@ -232,9 +244,11 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
         for n in range(max_n + 1):
             total.merge(_sweep_level(n))
     else:
-        from concurrent.futures import ProcessPoolExecutor  # heavy; only this path needs it
+        import multiprocessing  # heavy; only this path needs it
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        stop = multiprocessing.Event()
+        with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
             futures = [
                 pool.submit(_sweep_level, n, shard, workers)
                 for n in range(max_n + 1)
@@ -244,6 +258,7 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
                 for fut in futures:  # in order: the failure raised is the smallest level's
                     total.merge(fut.result())
             except BaseException:
+                stop.set()  # every earlier level is merged; shards already running stop
                 pool.shutdown(cancel_futures=True)  # the levels not yet started never start
                 raise
     total.elapsed = time.perf_counter() - start

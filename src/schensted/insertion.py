@@ -10,10 +10,9 @@ box and drop the inserted value into the first box (see :func:`slide_trail`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
-from typing import Iterable, Literal
+from operator import ge, itemgetter, lt
+from typing import Iterable, Literal, NamedTuple
 
 from .tableau import BoxCoord, Label, Tableau, TableauError, _check_writes, check_label
 
@@ -36,8 +35,7 @@ class TrailInvariantViolation(InvariantViolation):
     """A produced trail breaks one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class Trail:
+class Trail(NamedTuple):
     kind: TrailKind
     boxes: tuple[BoxCoord, ...]  # step k in row (column) k; the last is the created box
     labels: tuple[Label, ...]  # the label each box but the created one held
@@ -54,16 +52,15 @@ def validate_trail(trail: Trail) -> None:
         raise TrailInvariantViolation("trail has no boxes")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInvariantViolation("every box but the created one must carry a label")
-    if any(u >= v for u, v in zip(labels, labels[1:])):
+    if any(map(ge, labels, labels[1:])):
         raise TrailInvariantViolation("trail labels must strictly increase")
     # Step k lies in row (column) k; the other coordinate weakly decreases.
-    line, other = ("row", 1) if trail.kind == "row" else ("column", 0)
-    for k, box in enumerate(boxes):
-        if box[1 - other] != k:
-            raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
-    coords = [box[other] for box in boxes]
-    if any(a < b for a, b in zip(coords, coords[1:])):
-        across = "columns" if line == "row" else "rows"
+    line, across, own = ("row", "columns", 0) if trail.kind == "row" else ("column", "rows", 1)
+    if list(map(itemgetter(own), boxes)) != list(range(len(boxes))):
+        k = next(k for k, box in enumerate(boxes) if box[own] != k)
+        raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
+    coords = list(map(itemgetter(1 - own), boxes))
+    if any(map(lt, coords, coords[1:])):
         raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
 
 
@@ -110,11 +107,12 @@ def _bump(
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
     check_label(x)
-    if x in t:
+    index = t.labels
+    if x in index:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
-    result = Tableau._trusted(tuple(map(tuple, rows)), t.labels | {x})
+    result = Tableau._trusted(tuple(map(tuple, rows)), (index, x))  # index formed on first read
     return result, Trail(kind, tuple(boxes), tuple(labels))
 
 
@@ -139,13 +137,14 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     check_label(inserted)  # before hashing it
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
-    boxes, labels = trail.boxes, trail.labels
+    boxes, labels, rows = trail.boxes, trail.labels, t.rows
     if not boxes or t.get(trail.created_box) is not None:
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInconsistentWithTableau("every box but the created one must carry a label")
     for box, label in zip(boxes, labels):
-        if t.get(box) != label:
+        r, c = box
+        if not (0 <= r < len(rows) and 0 <= c < len(rows[r]) and rows[r][c] == label):
             raise TrailInconsistentWithTableau(f"box {box} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
 
@@ -158,7 +157,8 @@ def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Lab
 def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) -> Tableau:
     """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap.
 
-    A later placement to the same box wins; only what the writes can break is checked.
+    A later placement to the same box wins; only what the writes can break is checked,
+    each label by ``check_label`` before ``_check_writes`` hashes or compares it.
     Only the rows written are copied: the result shares every other row with ``t``.
     """
     rows = list(t.rows)
@@ -168,6 +168,8 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
             rows.append([])
         if not (0 <= r < len(rows) and 0 <= c <= len(rows[r])):
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
+        if type(label) is not int or label < 0:
+            check_label(label)
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)

@@ -18,9 +18,10 @@ Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 
 ``Tableau.labels``, the frozenset of labels that ``v in t`` and the placement
-check read, is built from the rows on first use and cached; the results of
-``row_insert`` and ``column_insert`` inherit their parent's plus the inserted
-value.  It is not a field: ``==``, ``hash`` and ``repr`` read the rows alone.
+check read, is formed on first read and cached.  A tableau builds it from its
+rows; the results of ``row_insert`` and ``column_insert`` take their parent's
+index plus the inserted value, so a result whose index nobody reads forms
+none.  It is not a field: ``==``, ``hash`` and ``repr`` read the rows alone.
 """
 
 from __future__ import annotations
@@ -92,38 +93,36 @@ def _check_writes(
 ) -> None:
     """Check ``rows``: the valid ``t`` with each box of ``written`` set once, rows grown to fit.
 
-    ``rows`` is a tableau exactly when each written box is ordered against
-    its left, right, lower and upper neighbours and, above row 0, has a lower
-    neighbour, and the written labels are distinct naturals, those new to
-    ``t`` (not the old label of an overwritten box) absent from ``t``.  This
-    uses nothing of why the labels were written: two adjacent boxes not
-    written are adjacent in ``t``; a row longer than the row below ends in a
-    written box outside ``t`` with no lower neighbour; and a written label
-    also found at a box not written is that box's label in ``t``, so, ``t``'s
-    labels being distinct, no overwritten box's old label: it is new.
+    Every written label is a natural (the caller ran ``check_label``).  ``rows``
+    is a tableau exactly when each written box is ordered against its left,
+    right, lower and upper neighbours and, above row 0, has a lower neighbour,
+    and the written labels are distinct, those new to ``t`` (not the old label
+    of an overwritten box) absent from ``t``.  This uses nothing of why the
+    labels were written: two adjacent boxes not written are adjacent in ``t``;
+    a row longer than the row below ends in a written box outside ``t`` with no
+    lower neighbour; and a written label also found at a box not written is that
+    box's label in ``t``, so, ``t``'s labels being distinct, no overwritten
+    box's old label: it is new.
     """
-    old = t.rows
+    old, height = t.rows, len(rows)
     labels, overwritten = set(), set()
     for (r, c), v in written:
-        if type(v) is not int or v < 0:
-            check_label(v)  # before hashing or comparing it
         labels.add(v)
         if r < len(old) and c < len(old[r]):
             overwritten.add(old[r][c])
-    if len(labels) != len(written):
-        raise DuplicateLabel("a label is written twice")
-    new = labels - overwritten
-    if not new.isdisjoint(t.labels):
-        raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
-    for (r, c), v in written:
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
             raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
         if r and c >= len(rows[r - 1]):
             raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
-        above = rows[r + 1] if r + 1 < len(rows) else ()
+        above = rows[r + 1] if r + 1 < height else ()
         if r and rows[r - 1][c] >= v or c < len(above) and v >= above[c]:
             raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
+    if len(labels) != len(written):
+        raise DuplicateLabel("a label is written twice")
+    new = labels - overwritten
+    if not new.isdisjoint(t.labels):
+        raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,13 @@ class Tableau:
         _validate(self.rows)
 
     @classmethod
-    def _trusted(cls, rows: Rows, labels: Optional[frozenset[Label]] = None) -> "Tableau":
-        """Wrap rows known to be valid, skipping ``_validate``; ``labels`` is their index."""
+    def _trusted(cls, rows: Rows, parent: Optional[tuple[frozenset, Label]] = None) -> "Tableau":
+        """Wrap rows known to be valid, skipping ``_validate``; ``parent`` is (index, inserted value)."""
         t = object.__new__(cls)
         state = t.__dict__  # written directly: the dataclass is frozen
         state["rows"] = rows
-        if labels is not None:
-            state["labels"] = labels
+        if parent is not None:
+            state["_parent_index"] = parent
         return t
 
     @classmethod
@@ -152,8 +151,13 @@ class Tableau:
 
     @cached_property
     def labels(self) -> frozenset[Label]:
-        """Every label of the tableau, built from the rows on first use."""
-        return frozenset(chain.from_iterable(self.rows))
+        """Every label of the tableau: the parent's index plus the inserted value, else the rows'."""
+        parent = self.__dict__.pop("_parent_index", None)
+        return frozenset(chain.from_iterable(self.rows)) if parent is None else parent[0] | {parent[1]}
+
+    def __getstate__(self) -> dict:
+        # An index not yet formed is not pickled: the copy builds its own from the rows.
+        return {k: v for k, v in self.__dict__.items() if k != "_parent_index"}
 
     @property
     def shape(self) -> Shape:

@@ -21,8 +21,8 @@ row-inserted one when S starts its trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from operator import itemgetter
+from typing import Literal, NamedTuple, Optional
 
 from .insertion import InvariantViolation, Trail
 from .tableau import BoxCoord, Label
@@ -55,8 +55,7 @@ class NotAStrongIntersection(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     variant: Variant
     s_box: Optional[BoxCoord] = None
     s: Optional[Label] = None
@@ -107,19 +106,19 @@ def classify_intersection(
     row_boxes = row_trail.boxes
     col_boxes = col_trail.boxes
     # The crossing test below is exact only when every segment spans one band.
-    if any(r != k for k, (r, _) in enumerate(row_boxes)) or any(
-        c != k for k, (_, c) in enumerate(col_boxes)
-    ):
+    rows_in_band = list(map(itemgetter(0), row_boxes)) == list(range(len(row_boxes)))
+    if not rows_in_band or list(map(itemgetter(1), col_boxes)) != list(range(len(col_boxes))):
         raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
     col_set = set(col_boxes)
     shared = [bx for bx in row_boxes if bx in col_set]
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")
 
-    for k in range(len(row_boxes) - 1):
-        # Row segment k can only cross the column segments m with lo <= m < hi.
-        lo, hi = sorted((row_boxes[k][1], row_boxes[k + 1][1]))
-        for m in range(lo, min(hi, len(col_boxes) - 1)):
+    last = len(col_boxes) - 1  # column segment m joins boxes m and m + 1
+    cols = list(map(itemgetter(1), row_boxes))
+    for k, (a, b) in enumerate(zip(cols, cols[1:])):
+        # Row segment k, from column a to column b, can only cross the column segments between.
+        for m in range(b, min(a, last)) if b < a else range(a, min(b, last)):
             if _cross_strictly(row_boxes[k], row_boxes[k + 1], col_boxes[m], col_boxes[m + 1]):
                 raise WeakIntersectionDetected(
                     f"row-trail segment {k} crosses column-trail segment {m}"

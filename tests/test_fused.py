@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from schensted import (
+    CaseDescriptor,
     IntersectionReport,
     InvalidResult,
     LabelsNotDistinct,
@@ -166,3 +169,24 @@ class TestStrongCasePlacement:
             after_col, _ = column_insert(x, t)
             assert after_col.get(b_box) == inter.s
             assert report.left.get(b_box) == inter.s
+
+
+RECORDS = {  # each record type, read from a fresh analysis of the worked case, and its first field
+    "Trail": (lambda report: report.row_trail, "kind"),
+    "IntersectionReport": (lambda report: report.intersection, "variant"),
+    "CommutationReport": (lambda report: report, "left"),
+    "CaseDescriptor": (lambda report: CaseDescriptor(report.after_col, WORKED_X, WORKED_Y), "tableau"),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_immutable_values(self, worked, name):
+        read, field = RECORDS[name]
+        record, again = (read(commute_check(worked, WORKED_X, WORKED_Y)) for _ in range(2))
+        assert type(record).__name__ == name and record is not again
+        assert record == again and hash(record) == hash(again) and repr(record) == repr(again)
+        assert repr(record).startswith(f"{name}({field}=")
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

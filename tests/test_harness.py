@@ -208,16 +208,26 @@ class TestCheckCase:
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
     def test_one_label_index_per_tableau(self, worked, monkeypatch):
-        # The case's tableau indexes its labels once; every insertion result inherits its
-        # parent's index, and no other tableau builds one from its rows.
+        # Only the case's tableau builds its label index from its rows, once.  x→T and T←y
+        # form theirs from their parent's index plus the inserted value, and left and right,
+        # whose index no check reads, form none.
         values = [0, WORKED_X, WORKED_Y, 20, 21]  # a value in every gap of the labels 1..19
         assert not any(v in row for row in WORKED_ROWS for v in values)
-        built = []
-        build = Tableau.labels.func
-        monkeypatch.setattr(Tableau.labels, "func", lambda t: built.append(t) or build(t))
+        formed = []  # (tableau, whether it formed its index from a parent's)
+        form = Tableau.labels.func
+        monkeypatch.setattr(
+            Tableau.labels, "func", lambda t: formed.append((t, "_parent_index" in vars(t))) or form(t)
+        )
+        reports = []
+        analyse = harness.commute_check
+        monkeypatch.setattr(harness, "commute_check", lambda *args: reports.append(analyse(*args)) or reports[-1])
         for x, y in permutations(values, 2):
             check_case(CaseDescriptor(worked, x, y), None, SweepSummary())
-        assert len(built) == 1 and built[0] is worked
+        from_rows = [t for t, inherited in formed if not inherited]
+        assert len(from_rows) == 1 and from_rows[0] is worked
+        assert len(formed) == 1 + 2 * len(reports) == 41
+        ends = {id(t) for report in reports for t in (report.left, report.right)}
+        assert not [t for t, _ in formed if id(t) in ends]
 
     def test_three_validations_per_case(self, worked, monkeypatch):
         # The fused result and the two slide_trail reconstructions, each checked
@@ -260,28 +270,49 @@ class TestSweepFailure:
             run_sweep(2, workers=2)
         assert exc.value.invariant == "planted" and exc.value.detail == "in a worker"
 
-    def test_pool_stops_at_the_first_failure(self, tmp_path, monkeypatch):
-        marker = tmp_path / "level-8-started"
+    @staticmethod
+    def sweep_failing_at(size, marker, monkeypatch):
+        """run_sweep(8) on 2 forked workers, every case of ``size`` failing; level 8 touches ``marker``."""
         real = harness.check_case
 
-        def failing_at_1(case, rng, summary):
-            size = len(case.tableau.labels)
-            if size == 1:
-                raise SweepFailure(case, "planted", "at n = 1")
-            if size == 8:
+        def failing(case, rng, summary):
+            n = len(case.tableau.labels)
+            if n == size:
+                raise SweepFailure(case, "planted", f"at n = {size}")
+            if n == 8:
                 marker.touch()
                 return
             real(case, rng, summary)
 
-        monkeypatch.setattr(harness, "check_case", failing_at_1)  # inherited by forked workers
+        monkeypatch.setattr(harness, "check_case", failing)  # inherited by forked workers
         fork_pool = functools.partial(
             futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
         )
         monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
         with pytest.raises(SweepFailure) as exc:
             run_sweep(8, workers=2)
-        assert exc.value.detail == "at n = 1"
+        return exc.value
+
+    def test_pool_stops_at_the_first_failure(self, tmp_path, monkeypatch):
+        marker = tmp_path / "level-8-started"
+        assert self.sweep_failing_at(1, marker, monkeypatch).detail == "at n = 1"
         assert not marker.exists()
+
+    def test_running_shards_stop_after_a_failure(self, tmp_path, monkeypatch):
+        # Levels 7 and 8 reach the workers before the level-6 failure reaches the caller:
+        # cancelling queued tasks cannot stop them, the stop event must.
+        marker = tmp_path / "level-8-started"
+        assert self.sweep_failing_at(6, marker, monkeypatch).detail == "at n = 6"
+        assert not marker.exists()
+
+
+def patience_piles(word):
+    """Patience sorting: each value goes on the leftmost pile whose top exceeds it."""
+    tops = []
+    for v in word:
+        k = next((k for k, top in enumerate(tops) if top > v), len(tops))
+        tops[k : k + 1] = [v]
+    return len(tops)  # the length of the longest increasing subsequence
 
 
 class TestRsk:
@@ -346,6 +377,23 @@ class TestRsk:
                     q_rows.append([])
                 q_rows[r].append(step_index)
             assert rsk(list(w)) == (p, Tableau.from_rows(q_rows))
+
+    @pytest.mark.parametrize(
+        "words",
+        [pytest.param(functools.partial(permutations, range(1, n + 1)), id=str(n)) for n in range(8)]
+        + [
+            pytest.param(functools.partial(random_words, seed), id=f"rsk-300-cells-seed-{seed}")
+            for seed in range(20)
+        ],
+    )
+    def test_greene_shape(self, words):
+        # Schensted (1961), Greene (1974): the first row of P is as long as the longest
+        # increasing subsequence of the word, and P has as many rows as its longest
+        # decreasing one.  Patience sorting counts both without bumping.
+        for w in words():
+            p, _ = rsk(list(w))
+            assert (len(p.rows[0]) if p.rows else 0) == patience_piles(w)
+            assert len(p.rows) == patience_piles([-v for v in w])
 
     @pytest.mark.parametrize("n", range(6))
     def test_shapes_agree_and_q_is_standard(self, n):

@@ -1,4 +1,5 @@
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -220,7 +221,8 @@ def indexed_tableaux(draw):
         "_apply_placements": _apply_placements(p, _trail_placements(col_trail, x)),
     }
     made["pickled, index not built"] = pickle.loads(pickle.dumps(Tableau._trusted(p.rows)))
-    made["pickled, index built"] = pickle.loads(pickle.dumps(after_row))
+    made["pickled, index unread"] = pickle.loads(pickle.dumps(after_row))
+    made["pickled, index formed"] = pickle.loads(pickle.dumps(after_col))  # read by row_insert
     return made
 
 
@@ -237,3 +239,21 @@ class TestLabelIndex:
             assert "labels" in vars(t) and "labels" not in vars(plain)
             assert plain == t and hash(plain) == hash(t) and repr(plain) == repr(t), source
             assert "labels" not in vars(plain)  # equality, hash and repr read the rows alone
+
+    def test_an_unread_index_is_not_pickled(self, worked):
+        result, _ = row_insert(worked, 0)
+        size = len(pickle.dumps(result))
+        copy = pickle.loads(pickle.dumps(result))
+        assert "labels" not in vars(result)  # unread: held as the parent's index plus 0
+        assert size <= len(pickle.dumps(Tableau._trusted(result.rows))) + len(
+            pickle.dumps(frozenset(result.labels))
+        )
+        assert copy == result and copy.labels == result.labels == {0, *worked.labels}
+
+    def test_a_result_keeps_no_reference_to_its_parent(self):
+        parent = Tableau.from_rows(WORKED_ROWS)
+        ref = weakref.ref(parent)
+        result, _ = column_insert(0, parent)
+        del parent
+        assert ref() is None
+        assert result.labels == {0, *(v for row in WORKED_ROWS for v in row)}
