@@ -15,7 +15,7 @@ import os
 import sys
 
 from .fused import commute_check
-from .harness import CaseDescriptor, DuplicateInWord, SweepFailure, SweepSummary, check_case
+from .harness import CaseDescriptor, DuplicateInWord, SweepFailure, SweepSummary, check_report
 from .harness import rsk, run_sweep
 from .insertion import InvariantViolation, XAlreadyPresent, column_insert, row_insert
 from .render import RenderOptions, render_tableau, render_trail
@@ -87,7 +87,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         print(f"intersection: {report.intersection.summary()}")
         print("EQUAL" if report.all_equal else "UNEQUAL")
     try:  # the sweep's other checks too, so that verify's reproducer fails where verify did
-        check_case(CaseDescriptor(t, args.x, args.y), None, SweepSummary())
+        check_report(CaseDescriptor(t, args.x, args.y), report, SweepSummary())
     except SweepFailure as err:
         print(f"sweep failure: {err}", file=sys.stderr)
         return 1

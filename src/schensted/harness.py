@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, NamedTuple, Optional, get_args
 
-from .fused import commute_check, trail_agreement
+from .fused import CommutationReport, commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
 # span tracer's tests look it up.
 from .insertion import InvariantViolation, XAlreadyPresent, _bump, row_insert
@@ -150,22 +150,28 @@ def check_modify_property(row: tuple[Label, ...], x: Label) -> Optional[Label]:
 
 
 def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None:
-    """Run every per-case invariant; raise SweepFailure on the first violation.
+    """Analyse the case once with ``commute_check`` and check the report with ``check_report``.
 
-    Every check is deterministic: the result depends on the case alone.
-
-    The case is analysed once by ``commute_check``; every check reads the
-    trails, insertions and intersection from its report.  The insertions build
-    their tableaux unchecked, the fused result and both ``slide_trail`` results
-    are checked where written, and ``left``/``right`` must equal the fused one.
+    An error of the analysis itself is a ``"commutation"`` SweepFailure.  Every
+    check is deterministic: the result depends on the case alone.
     """
     # rng is ignored; it stays only because perfbench/run.py still passes one per case.
-    t, x, y = case.tableau, case.x, case.y
     try:
-        report = commute_check(t, x, y)
+        report = commute_check(case.tableau, case.x, case.y)
     except Exception as err:
         raise SweepFailure(case, "commutation", str(err)) from err
+    check_report(case, report, summary)
 
+
+def check_report(case: CaseDescriptor, report: CommutationReport, summary: SweepSummary) -> None:
+    """Run every per-case invariant on ``report``, the case's ``commute_check``; count the case.
+
+    Raises SweepFailure on the first violation.  Every check reads the trails,
+    insertions and intersection from the report.  The insertions build their
+    tableaux unchecked, the fused result and both ``slide_trail`` results are
+    checked where written, and ``left``/``right`` must equal the fused one.
+    """
+    t, x, y = case.tableau, case.x, case.y
     try:
         validate_trail(report.col_trail)
         validate_trail(report.row_trail)

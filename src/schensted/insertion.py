@@ -112,7 +112,7 @@ def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
-    result = Tableau._trusted(tuple(map(tuple, rows)), (index, x))  # index formed on first read
+    result = Tableau._trusted(tuple(map(tuple, rows)), index | {x})
     return result, Trail(kind, tuple(boxes), tuple(labels))
 
 

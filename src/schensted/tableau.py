@@ -7,7 +7,7 @@ all labels are pairwise distinct naturals.
 Validation runs only at the boundaries, where rows come from outside or from
 the step under test:
 
-- ``Tableau(...)``, ``Tableau.from_rows`` and ``parse_tableau``;
+- ``Tableau(...)`` and ``parse_tableau``;
 - ``insertion._apply_placements``, only at the boxes it writes: the fused
   result and the ``slide_trail`` reconstructions;
 - the tableaux ``P`` and ``Q`` that ``rsk`` returns, each once per word;
@@ -18,10 +18,10 @@ Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 
 ``Tableau.labels``, the frozenset of labels that ``v in t`` and the placement
-check read, is formed on first read and cached.  A tableau builds it from its
-rows; the results of ``row_insert`` and ``column_insert`` take their parent's
-index plus the inserted value, so a result whose index nobody reads forms
-none.  It is not a field: ``==``, ``hash`` and ``repr`` read the rows alone.
+check read, is given at construction by ``row_insert`` and ``column_insert``
+(their parent's index plus the inserted value); every other tableau forms it
+from its rows on first read and caches it.  It is not a field: ``==``,
+``hash`` and ``repr`` read the rows alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 Label = int
 BoxCoord = tuple[int, int]  # (row, col), both 0-based
@@ -67,7 +67,7 @@ def check_label(v: object) -> None:
         raise TableauError(f"label {v!r} is not a natural")
 
 
-def _validate(rows: Rows) -> None:
+def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share no code with it
     for r, row in enumerate(rows):
         if len(row) == 0:
             raise ShapeNotFerrers(f"row {r} is empty", (r, 0))
@@ -136,28 +136,19 @@ class Tableau:
         _validate(self.rows)
 
     @classmethod
-    def _trusted(cls, rows: Rows, parent: Optional[tuple[frozenset, Label]] = None) -> "Tableau":
-        """Wrap rows known to be valid, skipping ``_validate``; ``parent`` is (index, inserted value)."""
+    def _trusted(cls, rows: Rows, labels: Optional[frozenset[Label]] = None) -> "Tableau":
+        """Wrap valid rows without ``_validate``; ``labels``, when given, is their label index."""
         t = object.__new__(cls)
         state = t.__dict__  # written directly: the dataclass is frozen
         state["rows"] = rows
-        if parent is not None:
-            state["_parent_index"] = parent
+        if labels is not None:
+            state["labels"] = labels  # shadows the cached_property: no first-read lock
         return t
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Label]]) -> "Tableau":
-        return cls(tuple(rows))
 
     @cached_property
     def labels(self) -> frozenset[Label]:
-        """Every label of the tableau: the parent's index plus the inserted value, else the rows'."""
-        parent = self.__dict__.pop("_parent_index", None)
-        return frozenset(chain.from_iterable(self.rows)) if parent is None else parent[0] | {parent[1]}
-
-    def __getstate__(self) -> dict:
-        # An index not yet formed is not pickled: the copy builds its own from the rows.
-        return {k: v for k, v in self.__dict__.items() if k != "_parent_index"}
+        """Every label of the tableau."""
+        return frozenset(chain.from_iterable(self.rows))
 
     @property
     def shape(self) -> Shape:

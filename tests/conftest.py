@@ -29,7 +29,7 @@ WORKED_COL_TRAIL = [
 
 @pytest.fixture
 def worked() -> Tableau:
-    return Tableau.from_rows(WORKED_ROWS)
+    return Tableau(WORKED_ROWS)
 
 
 def random_words(seed, cells=300):

@@ -82,7 +82,7 @@ def test_criterion_1_worked_example_golden(worked):
     assert inter.variant == "strong"
     assert inter.s_box == (2, 1)
     assert (inter.i, inter.a, inter.s, inter.j, inter.b) == (10, 11, 13, 18, 14)
-    expected = Tableau.from_rows(WORKED_RESULT)
+    expected = Tableau(WORKED_RESULT)
     assert cr.left == cr.right == cr.fused == expected
     assert elapsed < 0.010
     report(1, f"golden worked example reproduced bit-exactly in {elapsed * 1000:.2f} ms")
@@ -179,7 +179,7 @@ def test_criterion_8_round_trip_and_duality():
     for n in range(7):
         for t in enumerate_syt(n):
             assert parse_tableau(render_tableau(t)) == t
-            doubled = Tableau.from_rows([[2 * v for v in row] for row in t.rows])
+            doubled = Tableau([[2 * v for v in row] for row in t.rows])
             for x in (0, 2 * n + 1, 1 if n else 3):
                 ct_tab, ct = column_insert(x, doubled)
                 rt_tab, rt = row_insert(doubled.transpose(), x)

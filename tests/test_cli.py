@@ -33,18 +33,18 @@ def worked_file(tmp_path):
 
 class TestRendering:
     def test_french_ascii(self):
-        t = Tableau.from_rows([[1, 3], [2]])
+        t = Tableau([[1, 3], [2]])
         assert render_tableau(t) == "2\n1 3"
 
     def test_english_ascii(self):
-        t = Tableau.from_rows([[1, 3], [2]])
+        t = Tableau([[1, 3], [2]])
         assert render_tableau(t, RenderOptions(convention="english")) == "1 3\n2"
 
     def test_empty(self):
         assert render_tableau(Tableau()) == ""
 
     def test_latex(self):
-        t = Tableau.from_rows([[1, 3], [2]])
+        t = Tableau([[1, 3], [2]])
         out = render_tableau(t, RenderOptions(format="latex"))
         assert out == "\\begin{ytableau}\n2 \\\\\n1 & 3\n\\end{ytableau}"
 
@@ -135,6 +135,19 @@ class TestCommuteCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
         assert main(["commute", "--x", "3", "--y", "3"]) == 2
         assert capsys.readouterr().err == "error: x and y must differ, got 3\n"
+
+    def test_one_analysis_per_command(self, worked_file, monkeypatch):
+        calls = []
+        analyse = schensted.commute_check
+
+        def counting(*args):
+            calls.append(args)
+            return analyse(*args)
+
+        for module in ("schensted.cli", "schensted.harness"):
+            monkeypatch.setattr(f"{module}.commute_check", counting)
+        assert main(["commute", "--x", "7", "--y", "8", "--file", worked_file]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "exc",

@@ -47,38 +47,34 @@ class TestResolveConflict:
 
 class TestFusedInsert:
     def test_worked_example(self, worked):
-        assert commute_check(worked, WORKED_X, WORKED_Y).fused == Tableau.from_rows(WORKED_RESULT)
+        assert commute_check(worked, WORKED_X, WORKED_Y).fused == Tableau(WORKED_RESULT)
 
     def test_shared_empty_box_a_into_s(self):
         # i=4 > a=3: a takes the shared box, i goes to its right.
-        assert commute_check(Tableau.from_rows([[2, 3]]), 1, 4).fused == Tableau.from_rows(
-            [[1, 2, 3, 4]]
-        )
+        assert commute_check(Tableau([[2, 3]]), 1, 4).fused == Tableau([[1, 2, 3, 4]])
 
     def test_shared_empty_box_i_into_s(self):
         # i=2 < a=3: i takes the shared box, a goes above.
-        assert commute_check(Tableau.from_rows([[2, 4]]), 3, 1).fused == Tableau.from_rows(
-            [[1, 4], [2], [3]]
-        )
+        assert commute_check(Tableau([[2, 4]]), 3, 1).fused == Tableau([[1, 4], [2], [3]])
 
     def test_strong_with_empty_b(self):
-        assert commute_check(Tableau.from_rows([[1, 4], [2, 5]]), 0, 3).fused == Tableau.from_rows(
+        assert commute_check(Tableau([[1, 4], [2, 5]]), 0, 3).fused == Tableau(
             [[0, 1, 3], [2, 4], [5]]
         )
 
     def test_disjoint(self):
-        t = Tableau.from_rows([[1, 3], [2]])
-        assert commute_check(t, 4, 5).fused == Tableau.from_rows([[1, 3, 5], [2], [4]])
+        t = Tableau([[1, 3], [2]])
+        assert commute_check(t, 4, 5).fused == Tableau([[1, 3, 5], [2], [4]])
 
 
 class TestFusedValidation:
     """The fused result is what is under test, so ``_fused`` always validates it."""
 
-    T = Tableau.from_rows([[1, 3], [2]])
+    T = Tableau([[1, 3], [2]])
 
     def test_row_trail_of_another_tableau(self):
         _, col = column_insert(4, self.T)
-        _, row = row_insert(Tableau.from_rows([[1, 3, 4, 6]]), 5)  # bumps from box (0, 3)
+        _, row = row_insert(Tableau([[1, 3, 4, 6]]), 5)  # bumps from box (0, 3)
         with pytest.raises(InvalidResult):
             _fused(self.T, 4, 5, col, row, IntersectionReport("disjoint"))
 
@@ -99,12 +95,12 @@ class TestCommuteCheck:
     def test_empty(self):
         report = commute_check(Tableau(), 1, 2)
         assert report.all_equal
-        assert report.left == Tableau.from_rows([[1, 2]])
+        assert report.left == Tableau([[1, 2]])
 
     def test_worked_example(self, worked):
         report = commute_check(worked, WORKED_X, WORKED_Y)
         assert report.all_equal
-        assert report.left == Tableau.from_rows(WORKED_RESULT)
+        assert report.left == Tableau(WORKED_RESULT)
         assert report.intersection.variant == "strong"
         assert report.intersection.configuration == "JB"
 
@@ -134,9 +130,9 @@ class TestTrailAgreement:
 
     def test_not_strong_raises(self):
         with pytest.raises(NotAStrongIntersection):
-            trail_agreement(commute_check(Tableau.from_rows([[1, 3], [2]]), 4, 5))
+            trail_agreement(commute_check(Tableau([[1, 3], [2]]), 4, 5))
         with pytest.raises(NotAStrongIntersection):
-            trail_agreement(commute_check(Tableau.from_rows([[2, 3]]), 1, 4))
+            trail_agreement(commute_check(Tableau([[2, 3]]), 1, 4))
 
     @pytest.mark.parametrize("n", range(6))
     def test_exhaustive_agreement(self, n):

@@ -208,26 +208,32 @@ class TestCheckCase:
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
     def test_one_label_index_per_tableau(self, worked, monkeypatch):
-        # Only the case's tableau builds its label index from its rows, once.  x→T and T←y
-        # form theirs from their parent's index plus the inserted value, and left and right,
-        # whose index no check reads, form none.
+        # Only the case's tableau builds its label index from its rows, once.  The four
+        # insertions x→T, T←y, left and right are each given theirs as they are made.
         values = [0, WORKED_X, WORKED_Y, 20, 21]  # a value in every gap of the labels 1..19
         assert not any(v in row for row in WORKED_ROWS for v in values)
-        formed = []  # (tableau, whether it formed its index from a parent's)
+        formed = []  # every tableau that built its index from its rows
         form = Tableau.labels.func
-        monkeypatch.setattr(
-            Tableau.labels, "func", lambda t: formed.append((t, "_parent_index" in vars(t))) or form(t)
-        )
+        monkeypatch.setattr(Tableau.labels, "func", lambda t: formed.append(t) or form(t))
+        made = []  # (insertion result, whether it held its index when made)
+        insert = insertion._insert
+
+        def spy(t, x, kind):
+            result, trail = insert(t, x, kind)
+            made.append((result, "labels" in vars(result)))
+            return result, trail
+
+        monkeypatch.setattr(insertion, "_insert", spy)
         reports = []
         analyse = harness.commute_check
         monkeypatch.setattr(harness, "commute_check", lambda *args: reports.append(analyse(*args)) or reports[-1])
         for x, y in permutations(values, 2):
             check_case(CaseDescriptor(worked, x, y), None, SweepSummary())
-        from_rows = [t for t, inherited in formed if not inherited]
-        assert len(from_rows) == 1 and from_rows[0] is worked
-        assert len(formed) == 1 + 2 * len(reports) == 41
-        ends = {id(t) for report in reports for t in (report.left, report.right)}
-        assert not [t for t, _ in formed if id(t) in ends]
+        assert len(formed) == 1 and formed[0] is worked
+        inserted = {id(t) for r in reports for t in (r.after_col, r.after_row, r.left, r.right)}
+        assert {id(t) for t, _ in made} == inserted and len(made) == 4 * len(reports) == 80
+        assert all(given for _, given in made)
+        assert not [t for t in formed if id(t) in inserted]
 
     def test_three_validations_per_case(self, worked, monkeypatch):
         # The fused result and the two slide_trail reconstructions, each checked
@@ -250,7 +256,7 @@ class TestCheckCase:
 
 
 class TestSweepFailure:
-    CASE = CaseDescriptor(Tableau.from_rows([[1, 3], [2]]), 4, 5)
+    CASE = CaseDescriptor(Tableau([[1, 3], [2]]), 4, 5)
 
     def test_pickle_round_trip(self):
         err = pickle.loads(pickle.dumps(SweepFailure(self.CASE, "trail", "x")))
@@ -326,13 +332,13 @@ class TestRsk:
 
     def test_increasing_word(self):
         p, q = rsk([1, 2, 3])
-        assert p == Tableau.from_rows([[1, 2, 3]])
-        assert q == Tableau.from_rows([[1, 2, 3]])
+        assert p == Tableau([[1, 2, 3]])
+        assert q == Tableau([[1, 2, 3]])
 
     def test_bumping_word(self):
         p, q = rsk([3, 1, 2])
-        assert p == Tableau.from_rows([[1, 2], [3]])
-        assert q == Tableau.from_rows([[1, 3], [2]])
+        assert p == Tableau([[1, 2], [3]])
+        assert q == Tableau([[1, 3], [2]])
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateInWord):
@@ -376,7 +382,7 @@ class TestRsk:
                 if r == len(q_rows):
                     q_rows.append([])
                 q_rows[r].append(step_index)
-            assert rsk(list(w)) == (p, Tableau.from_rows(q_rows))
+            assert rsk(list(w)) == (p, Tableau(q_rows))
 
     @pytest.mark.parametrize(
         "words",
@@ -412,8 +418,8 @@ class TestReversal:
     def test_hand_run(self):
         p, _ = rsk([3, 1, 2])
         p_rev, _ = rsk([2, 1, 3])
-        assert p == Tableau.from_rows([[1, 2], [3]])
-        assert p_rev == Tableau.from_rows([[1, 3], [2]])
+        assert p == Tableau([[1, 2], [3]])
+        assert p_rev == Tableau([[1, 3], [2]])
         assert p_rev == p.transpose()
 
     @pytest.mark.parametrize("n", range(6))
@@ -433,15 +439,11 @@ class TestRelabelingInvariance:
             for v, off in zip(values, offsets):
                 shift += off
                 image[v] = v + shift
-            relabeled = Tableau.from_rows(
-                [[image[v] for v in row] for row in case.tableau.rows]
-            )
+            relabeled = Tableau([[image[v] for v in row] for row in case.tableau.rows])
             before = commute_check(case.tableau, case.x, case.y)
             after = commute_check(relabeled, image[case.x], image[case.y])
             assert after.all_equal == before.all_equal
             assert after.intersection.variant == before.intersection.variant
             assert after.intersection.configuration == before.intersection.configuration
-            expected = Tableau.from_rows(
-                [[image[v] for v in row] for row in before.left.rows]
-            )
+            expected = Tableau([[image[v] for v in row] for row in before.left.rows])
             assert after.left == expected

@@ -35,19 +35,19 @@ def steps_of(trail):
 class TestRowInsert:
     def test_into_empty(self):
         t, trail = row_insert(Tableau(), 4)
-        assert t == Tableau.from_rows([[4]])
+        assert t == Tableau([[4]])
         assert steps_of(trail) == [((0, 0), None)]
 
     def test_worked_example_trail(self, worked):
         t, trail = row_insert(worked, WORKED_Y)
         assert steps_of(trail) == WORKED_ROW_TRAIL
-        assert t == Tableau.from_rows(
+        assert t == Tableau(
             [[1, 3, 5, 8, 12, 16], [2, 6, 9, 15], [4, 10, 14], [11, 13], [17, 18], [19]]
         )
 
     def test_cascading_bumps(self):
-        t, trail = row_insert(Tableau.from_rows([[1, 3], [2]]), 0)
-        assert t == Tableau.from_rows([[0, 3], [1], [2]])
+        t, trail = row_insert(Tableau([[1, 3], [2]]), 0)
+        assert t == Tableau([[0, 3], [1], [2]])
         assert steps_of(trail) == [((0, 0), 1), ((1, 0), 2), ((2, 0), None)]
 
     def test_already_present(self, worked):
@@ -58,19 +58,19 @@ class TestRowInsert:
 class TestColumnInsert:
     def test_into_empty(self):
         t, trail = column_insert(4, Tableau())
-        assert t == Tableau.from_rows([[4]])
+        assert t == Tableau([[4]])
         assert steps_of(trail) == [((0, 0), None)]
 
     def test_worked_example_trail(self, worked):
         t, trail = column_insert(WORKED_X, worked)
         assert steps_of(trail) == WORKED_COL_TRAIL
-        assert t == Tableau.from_rows(
+        assert t == Tableau(
             [[1, 3, 5, 9, 12, 16], [2, 6, 10, 14, 15], [4, 11, 13], [7, 18], [17, 19]]
         )
 
     def test_cascading_bumps(self):
-        t, trail = column_insert(0, Tableau.from_rows([[1, 3], [2]]))
-        assert t == Tableau.from_rows([[0, 1, 3], [2]])
+        t, trail = column_insert(0, Tableau([[1, 3], [2]]))
+        assert t == Tableau([[0, 1, 3], [2]])
         assert steps_of(trail) == [((0, 0), 1), ((0, 1), 3), ((0, 2), None)]
 
     def test_already_present(self, worked):
@@ -92,7 +92,7 @@ class TestInsertedLabel:
 class TestApplyPlacements:
     def test_gap_raises(self):
         with pytest.raises(TableauError):
-            _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 3), 5)])
+            _apply_placements(Tableau([[1, 3]]), [((0, 3), 5)])
 
     @pytest.mark.parametrize(
         "box",
@@ -101,7 +101,7 @@ class TestApplyPlacements:
     )
     def test_write_leaving_a_gap_raises(self, box):
         with pytest.raises(TableauError) as exc:
-            _apply_placements(Tableau.from_rows([[1, 3], [2]]), [(box, 5)])
+            _apply_placements(Tableau([[1, 3], [2]]), [(box, 5)])
         assert exc.value.box == box
 
     @pytest.mark.parametrize(
@@ -113,8 +113,8 @@ class TestApplyPlacements:
         ],
     )
     def test_new_boxes_in_any_order(self, placements, rows):
-        t = Tableau.from_rows([[1, 3], [2]])
-        assert _apply_placements(t, placements) == Tableau.from_rows(rows)
+        t = Tableau([[1, 3], [2]])
+        assert _apply_placements(t, placements) == Tableau(rows)
 
     @pytest.mark.parametrize("n", range(6))
     def test_placement_order_does_not_matter(self, n):
@@ -134,7 +134,7 @@ class TestApplyPlacements:
 
     def test_invalid_order_raises(self):
         with pytest.raises(RowNotIncreasing):
-            _apply_placements(Tableau.from_rows([[1, 3]]), [((0, 2), 2)])
+            _apply_placements(Tableau([[1, 3]]), [((0, 2), 2)])
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -251,7 +251,7 @@ def placements_with_faults(draw):
 class TestSlideTrail:
     def test_trivial(self):
         trail = Trail("row", ((0, 0),), ())
-        assert slide_trail(Tableau(), trail, 4) == Tableau.from_rows([[4]])
+        assert slide_trail(Tableau(), trail, 4) == Tableau([[4]])
 
     def test_worked_example_column_trail(self, worked):
         _, trail = column_insert(WORKED_X, worked)
@@ -270,7 +270,7 @@ class TestSlideTrail:
     )
     def test_trail_not_ending_in_a_new_box(self, boxes, labels):
         with pytest.raises(TrailInconsistentWithTableau):
-            slide_trail(Tableau.from_rows([[1]]), Trail("row", boxes, labels), 0)
+            slide_trail(Tableau([[1]]), Trail("row", boxes, labels), 0)
 
     def test_inconsistent_trail(self, worked):
         trail = Trail("row", ((0, 0), (5, 0)), (99,))
@@ -282,7 +282,7 @@ class TestSlideTrail:
             Trail("column", ((1, 0), (2, 0)), (None,)),
         ):
             with pytest.raises(TrailInconsistentWithTableau):
-                slide_trail(Tableau.from_rows([[1]]), trail, 0)
+                slide_trail(Tableau([[1]]), trail, 0)
 
     @pytest.mark.parametrize("n", range(5))
     def test_reconstructs_both_insertions_exhaustively(self, n):
@@ -339,7 +339,7 @@ class TestTrailInvariants:
             _, rt = row_insert(t, y)
             labels = (y,) + rt.labels
             for u, box, label in zip(labels, rt.boxes, rt.labels):
-                _, one_row = row_insert(Tableau.from_rows([t.rows[box[0]]]), u)
+                _, one_row = row_insert(Tableau([t.rows[box[0]]]), u)
                 assert one_row.labels[:1] == (label,)
 
 

@@ -149,20 +149,20 @@ class TestGeometricTrail:
 
 class TestClassification:
     def test_disjoint(self):
-        row_trail, col_trail = trails_of(Tableau.from_rows([[1, 3], [2]]), 4, 5)
+        row_trail, col_trail = trails_of(Tableau([[1, 3], [2]]), 4, 5)
         report = classify_intersection(row_trail, col_trail, 4, 5)
         assert report.variant == "disjoint"
 
     def test_shared_empty_box_after_cascades(self):
         # Both trails end in the same new box at the end of the first row.
-        row_trail, col_trail = trails_of(Tableau.from_rows([[1, 3], [2]]), 0, 4)
+        row_trail, col_trail = trails_of(Tableau([[1, 3], [2]]), 0, 4)
         report = classify_intersection(row_trail, col_trail, 0, 4)
         assert report.variant == "shared_empty_box"
         assert report.s_box == (0, 2)
         assert (report.a, report.i) == (3, 4)
 
     def test_shared_empty_box(self):
-        row_trail, col_trail = trails_of(Tableau.from_rows([[2, 3]]), 1, 4)
+        row_trail, col_trail = trails_of(Tableau([[2, 3]]), 1, 4)
         report = classify_intersection(row_trail, col_trail, 1, 4)
         assert report.variant == "shared_empty_box"
         assert report.s_box == (0, 2)
@@ -178,7 +178,7 @@ class TestClassification:
 
     def test_strong_with_defaults(self):
         # S starts the row trail (i defaults to y) and b is the empty box.
-        t = Tableau.from_rows([[1, 4], [2, 5]])
+        t = Tableau([[1, 4], [2, 5]])
         row_trail, col_trail = trails_of(t, 0, 3)
         report = classify_intersection(row_trail, col_trail, 0, 3)
         assert report.variant == "strong"
@@ -253,12 +253,12 @@ class TestRelativePosition:
         assert check_relative_position(row_trail, col_trail, (2, 1)) is True
 
     def test_disjoint_pair_raises(self):
-        row_trail, col_trail = trails_of(Tableau.from_rows([[1, 3], [2]]), 4, 5)
+        row_trail, col_trail = trails_of(Tableau([[1, 3], [2]]), 4, 5)
         with pytest.raises(NotAStrongIntersection):
             check_relative_position(row_trail, col_trail, (0, 0))
 
     def test_shared_empty_box_raises(self):
-        row_trail, col_trail = trails_of(Tableau.from_rows([[2, 3]]), 1, 4)
+        row_trail, col_trail = trails_of(Tableau([[2, 3]]), 1, 4)
         with pytest.raises(NotAStrongIntersection):
             check_relative_position(row_trail, col_trail, (0, 2))
 
