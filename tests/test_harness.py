@@ -26,6 +26,7 @@ from schensted import (
 )
 from schensted import fused, harness, insertion, tableau
 from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
+from schensted.harness import check_report
 from schensted.insertion import _bump
 
 from conftest import WORKED_ROWS, WORKED_X, WORKED_Y, random_words
@@ -253,6 +254,36 @@ class TestCheckCase:
         monkeypatch.setattr(fused, "row_insert", row_insert_reversing_row_0)
         with pytest.raises(SweepFailure):
             check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
+
+
+class TestCheckReport:
+    # check_report checks the report it is given: one that does not fit its case fails,
+    # and the case's own report is counted as check_case counts the case.
+    CASE = CaseDescriptor(Tableau(WORKED_ROWS), WORKED_X, WORKED_Y)
+
+    def test_counts_the_case_as_check_case_does(self):
+        by_case, by_report = SweepSummary(), SweepSummary()
+        check_case(self.CASE, None, by_case)
+        check_report(self.CASE, commute_check(*self.CASE), by_report)
+        assert by_report == by_case and by_report.cases_total == 1
+
+    @pytest.mark.parametrize(
+        "tamper,invariant",
+        [
+            (lambda r: r._replace(after_row=r.after_col), "trail"),
+            (lambda r: r._replace(after_col=r.after_row), "trail"),
+            (lambda r: r._replace(row_trail=r.col_trail, col_trail=r.row_trail), "trail"),
+            (lambda r: r._replace(all_equal=False), "commutation"),
+        ],
+        ids=["row-result", "column-result", "trails-swapped", "unequal"],
+    )
+    def test_a_report_that_does_not_fit_its_case_fails(self, tamper, invariant):
+        report = commute_check(*self.CASE)
+        summary = SweepSummary()
+        with pytest.raises(SweepFailure) as exc:
+            check_report(self.CASE, tamper(report), summary)
+        assert exc.value.invariant == invariant and exc.value.case == self.CASE
+        assert summary.cases_total == 0
 
 
 class TestSweepFailure:

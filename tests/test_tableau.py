@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import weakref
 
@@ -244,3 +245,13 @@ class TestLabelIndex:
         del parent
         assert ref() is None
         assert result.labels == {0, *(v for row in WORKED_ROWS for v in row)}
+
+    def test_a_tableau_replaced_from_a_result_forms_its_own_index(self):
+        # dataclasses.replace builds through the constructor: it validates the new rows
+        # and does not carry over the index a result was given when it was made.
+        result, _ = row_insert(Tableau(WORKED_ROWS), 8)
+        assert "labels" in vars(result)
+        made = dataclasses.replace(result, rows=((1, 2), (3,)))
+        assert "labels" not in vars(made) and made.labels == {1, 2, 3}
+        with pytest.raises(RowNotIncreasing):
+            dataclasses.replace(result, rows=((2, 1),))
