@@ -167,9 +167,10 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     """Run every per-case invariant on ``report``, the case's ``commute_check``; count the case.
 
     Raises SweepFailure on the first violation.  Every check reads the trails,
-    insertions and intersection from the report.  The insertions build their
-    tableaux unchecked, the fused result and both ``slide_trail`` results are
-    checked where written, and ``left``/``right`` must equal the fused one.
+    insertions and intersection from the report; both lemma checks on S take
+    the report itself.  The insertions build their tableaux unchecked, the
+    fused result and both ``slide_trail`` results are checked where written,
+    and ``left``/``right`` must equal the fused one.
     """
     t, x, y = case.tableau, case.x, case.y
     try:
@@ -188,11 +189,8 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     summary.variant_counts[inter.variant] += 1
     if inter.variant == "strong":
         summary.configuration_counts[inter.configuration] += 1
-        try:
-            if not check_relative_position(report.row_trail, report.col_trail, inter.s_box):
-                raise AssertionError("relative position violated")
-        except Exception as err:
-            raise SweepFailure(case, "relative_position", str(err)) from err
+        if not check_relative_position(report):
+            raise SweepFailure(case, "relative_position")
         below_equal, above_equal, hypothesis = trail_agreement(report)  # the case is strong
         if not below_equal:
             raise SweepFailure(case, "trail_agreement_below")

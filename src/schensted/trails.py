@@ -16,16 +16,21 @@ their final unlabeled box, or share exactly one labeled box S.  In the last
 case the neighbors of S inside the two trails are reported: ``a``/``b`` are
 the column-trail predecessor and successor labels, ``i``/``j`` the row-trail
 ones, with ``a`` defaulting to the column-inserted value and ``i`` to the
-row-inserted one when S starts its trail.
+row-inserted one when S starts its trail.  S is step ``s_box[0]`` of the row
+trail and step ``s_box[1]`` of the column trail; both lemma checks on S read it
+from the ``commute_check`` report.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Literal, NamedTuple, Optional
 
 from .insertion import InvariantViolation, Trail
 from .tableau import BoxCoord, Label
+
+if TYPE_CHECKING:  # fused imports this module
+    from .fused import CommutationReport
 
 Variant = Literal["disjoint", "shared_empty_box", "strong"]
 
@@ -109,8 +114,7 @@ def classify_intersection(
     rows_in_band = list(map(itemgetter(0), row_boxes)) == list(range(len(row_boxes)))
     if not rows_in_band or list(map(itemgetter(1), col_boxes)) != list(range(len(col_boxes))):
         raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
-    col_set = set(col_boxes)
-    shared = [bx for bx in row_boxes if bx in col_set]
+    shared = [bx for bx in row_boxes if 0 <= bx[1] < len(col_boxes) and col_boxes[bx[1]] == bx]
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")
 
@@ -164,31 +168,18 @@ def classify_intersection(
     )
 
 
-def check_relative_position(
-    row_trail: Trail, col_trail: Trail, s_box: BoxCoord
-) -> bool:
-    """Verify the separation of the trail parts around a strong intersection.
+def check_relative_position(report: CommutationReport) -> bool:
+    """Verify the separation of the trail parts around S in a ``commute_check`` report.
 
     In every column occupied by both, the row-trail part before S must lie
     strictly below the column-trail part after S; symmetrically, in every row
     occupied by both, the column-trail part before S must lie strictly to the
-    left of the row-trail part after S.
+    left of the row-trail part after S.  The intersection must be strong.
     """
-    row_boxes = row_trail.boxes
-    col_boxes = col_trail.boxes
-    if s_box not in row_boxes or s_box not in col_boxes:
-        raise NotAStrongIntersection(f"{s_box} is not a box of both trails")
-    ri = row_boxes.index(s_box)
-    ci = col_boxes.index(s_box)
-    if ri == len(row_boxes) - 1 and ci == len(col_boxes) - 1:
-        raise NotAStrongIntersection(f"{s_box} is the empty box of both trails")
-    # Each pair is (part before S, part after S, axis of the shared line).
-    for before, after, axis in (
-        (row_boxes[:ri], col_boxes[ci + 1 :], 1),
-        (col_boxes[:ci], row_boxes[ri + 1 :], 0),
-    ):
-        for b1 in before:
-            for b2 in after:
-                if b1[axis] == b2[axis] and not b1[1 - axis] < b2[1 - axis]:
-                    return False
-    return True
+    if report.intersection.variant != "strong":
+        raise NotAStrongIntersection(f"intersection is {report.intersection.variant}")
+    ri, ci = report.intersection.s_box
+    row_boxes, col_boxes = report.row_trail.boxes, report.col_trail.boxes
+    # The other trail's box in column c (row r) is its step c (r), after S when c > ci (r > ri).
+    below = all(k < col_boxes[c][0] for k, c in row_boxes[:ri] if ci < c < len(col_boxes))
+    return below and all(m < row_boxes[r][1] for r, m in col_boxes[:ci] if ri < r < len(row_boxes))

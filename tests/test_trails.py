@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from schensted import (
     ImpossibleConfiguration,
+    IntersectionReport,
     MultipleSharedBoxes,
     NotAStrongIntersection,
     Tableau,
@@ -12,6 +15,7 @@ from schensted import (
     check_relative_position,
     classify_intersection,
     column_insert,
+    commute_check,
     enumerate_cases,
     row_insert,
 )
@@ -247,25 +251,57 @@ class TestClassification:
         }
 
 
+def reference_relative_position(row_trail, col_trail, s_box):
+    """The all-pairs check that the band-rule one replaced: each box before S
+    in one trail against each box after S in the other, with S found by search."""
+    row_boxes, col_boxes = row_trail.boxes, col_trail.boxes
+    ri, ci = row_boxes.index(s_box), col_boxes.index(s_box)
+    # Each pair is (part before S, part after S, axis of the shared line).
+    for before, after, axis in (
+        (row_boxes[:ri], col_boxes[ci + 1 :], 1),
+        (col_boxes[:ci], row_boxes[ri + 1 :], 0),
+    ):
+        for b1 in before:
+            for b2 in after:
+                if b1[axis] == b2[axis] and not b1[1 - axis] < b2[1 - axis]:
+                    return False
+    return True
+
+
 class TestRelativePosition:
     def test_worked_example(self, worked):
-        row_trail, col_trail = trails_of(worked, WORKED_X, WORKED_Y)
-        assert check_relative_position(row_trail, col_trail, (2, 1)) is True
+        assert check_relative_position(commute_check(worked, WORKED_X, WORKED_Y)) is True
 
     def test_disjoint_pair_raises(self):
-        row_trail, col_trail = trails_of(Tableau([[1, 3], [2]]), 4, 5)
         with pytest.raises(NotAStrongIntersection):
-            check_relative_position(row_trail, col_trail, (0, 0))
+            check_relative_position(commute_check(Tableau([[1, 3], [2]]), 4, 5))
 
     def test_shared_empty_box_raises(self):
-        row_trail, col_trail = trails_of(Tableau([[2, 3]]), 1, 4)
         with pytest.raises(NotAStrongIntersection):
-            check_relative_position(row_trail, col_trail, (0, 2))
+            check_relative_position(commute_check(Tableau([[2, 3]]), 1, 4))
 
     @pytest.mark.parametrize("n", range(6))
     def test_always_true_on_strong_intersections(self, n):
         for case in enumerate_cases(n):
-            row_trail, col_trail = trails_of(case.tableau, case.x, case.y)
-            report = classify_intersection(row_trail, col_trail, case.x, case.y)
-            if report.variant == "strong":
-                assert check_relative_position(row_trail, col_trail, report.s_box)
+            report = commute_check(case.tableau, case.x, case.y)
+            if report.intersection.variant == "strong":
+                assert check_relative_position(report)
+
+    def test_matches_all_pairs_reference_on_every_small_band_pair(self):
+        # Every box two band trails share before both their last steps, taken as S
+        # whether or not classify_intersection would call the pair strong.
+        col_trails = list(band_trails("column"))
+        outcomes = Counter()
+        for row_trail in band_trails("row"):
+            for col_trail in col_trails:
+                for s_box in set(row_trail.boxes[:-1]).intersection(col_trail.boxes[:-1]):
+                    report = SimpleNamespace(
+                        intersection=IntersectionReport("strong", s_box=s_box),
+                        row_trail=row_trail,
+                        col_trail=col_trail,
+                    )
+                    expected = reference_relative_position(row_trail, col_trail, s_box)
+                    assert check_relative_position(report) == expected, (row_trail, col_trail, s_box)
+                    outcomes[expected] += 1
+        # Both answers occur, so the test would see a check that always says True.
+        assert outcomes == {True: 38_968, False: 13_016}
