@@ -24,7 +24,6 @@ from .harness import (
     SweepSummary,
     enumerate_cases,
     enumerate_syt,
-    reversal_check,
     rsk,
     run_sweep,
 )

@@ -124,7 +124,6 @@ def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
     def agree(part: slice) -> bool:
         return before.boxes[part] == after.boxes[part] and before.labels[part] == after.labels[part]
 
-    first_above = slice(k + 1, k + 2)  # a created box there agrees only with a created box
-    hypothesis = bool(before.boxes[first_above]) and agree(first_above)
+    hypothesis = agree(slice(k + 1, k + 2))  # a created box there agrees only with a created box
     return agree(slice(k)), agree(slice(k + 1, None)), hypothesis
 

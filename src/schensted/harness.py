@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, get_args
 
 from .fused import CommutationReport, commute_check, trail_agreement
@@ -22,9 +23,6 @@ from .insertion import InvariantViolation, XAlreadyPresent, _bump, row_insert
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
-
-# Number of standard Young tableaux with n cells, n = 0, 1, 2, ...
-INVOLUTION_NUMBERS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)
 
 
 class DuplicateInWord(ValueError):
@@ -218,24 +216,22 @@ def _watch(stop) -> None:
 
 
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
-    summary, tableau = SweepSummary(), None
-    for idx, case in enumerate(enumerate_cases(n)):
-        if num_shards > 1 and idx % num_shards != shard:
-            continue
-        if case.tableau is not tableau:  # between tableaux; run_sweep discards a stopped summary
-            tableau = case.tableau
-            if _stop is not None and _stop.is_set():
-                break
-        check_case(case, None, summary)
+    """Check all cases of every ``num_shards``-th tableau of size n, from the ``shard``-th on."""
+    summary = SweepSummary()
+    for _, cases in islice(groupby(enumerate_cases(n), itemgetter(0)), shard, None, num_shards):
+        if _stop is not None and _stop.is_set():  # between tableaux
+            break  # run_sweep discards a stopped summary
+        for case in cases:
+            check_case(case, None, summary)
     return summary
 
 
 def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary:
     """Check every invariant over all cases with tableau size up to max_n.
 
-    Raises SweepFailure on the first violation; otherwise returns the
-    aggregated summary, which depends on ``max_n`` alone, not on the worker
-    count.  Raises ValueError for a negative ``max_n`` or fewer than one worker.
+    Raises SweepFailure on the first violation, else returns the summary, which
+    depends on ``max_n`` alone; each worker takes every ``workers``-th tableau of a
+    level.  Raises ValueError for a negative ``max_n`` or fewer than one worker.
     """
     # seed is ignored; it stays only because perfbench/run.py still passes one.
     if max_n < 0:
@@ -291,12 +287,3 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
         raise InvariantViolation(f"P has shape {p.shape}, Q has shape {q.shape}")
     return p, q
 
-
-def reversal_check(n: int) -> bool:
-    """Whether P(reversed w) = transpose(P(w)) for every permutation w of 1..n."""
-    for w in permutations(range(1, n + 1)):
-        p, _ = rsk(list(w))
-        p_rev, _ = rsk(list(reversed(w)))
-        if p_rev != p.transpose():
-            return False
-    return True

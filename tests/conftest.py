@@ -1,8 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from schensted import Tableau
+from schensted import Tableau, rsk
+
+# Number of standard Young tableaux with n cells, n = 0, 1, 2, ...
+INVOLUTION_NUMBERS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)
 
 # Worked example: the tableau with both trails crossing at (2, 1).
 WORKED_ROWS = [[1, 3, 5, 9, 12, 16], [2, 6, 10, 15], [4, 13, 14], [11, 18], [17, 19]]
@@ -35,3 +39,13 @@ def worked() -> Tableau:
 def random_words(seed, cells=300):
     """One seeded random word of ``cells`` distinct labels, in a list."""
     return [random.Random(seed).sample(range(1, 4 * cells), cells)]
+
+
+def reversal_check(n):
+    """Whether P(reversed w) = transpose(P(w)) for every permutation w of 1..n."""
+    for w in permutations(range(1, n + 1)):
+        p, _ = rsk(list(w))
+        p_rev, _ = rsk(list(reversed(w)))
+        if p_rev != p.transpose():
+            return False
+    return True

@@ -19,19 +19,20 @@ from schensted import (
     enumerate_syt,
     parse_tableau,
     render_tableau,
-    reversal_check,
     row_insert,
     run_sweep,
 )
-from schensted.harness import INVOLUTION_NUMBERS, check_modify_property
+from schensted.harness import check_modify_property
 
 from conftest import (
+    INVOLUTION_NUMBERS,
     WORKED_COL_TRAIL,
     WORKED_RESULT,
     WORKED_ROW_TRAIL,
     WORKED_ROWS,
     WORKED_X,
     WORKED_Y,
+    reversal_check,
 )
 
 # Regression snapshot of the full n <= 8 sweep, frozen after the first

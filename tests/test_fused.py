@@ -1,4 +1,5 @@
 import pickle
+from itertools import zip_longest
 
 import pytest
 
@@ -165,6 +166,83 @@ class TestStrongCasePlacement:
             after_col, _ = column_insert(x, t)
             assert after_col.get(b_box) == inter.s
             assert report.left.get(b_box) == inter.s
+
+
+def growth_insertion_tableau(word):
+    """P of a word of distinct labels, by Fomin's local rules on shapes alone.
+
+    Cell (i, j) of the growth diagram holds the shape of P of the first i
+    letters kept to the j smallest labels.  Its shape follows from the three
+    below and to its left: a letter of rank j adds a box to the first row;
+    otherwise two different neighbours give their union, and two equal ones
+    that grew by a box in row r grow one more in row r + 1.  No insertion is
+    run.  Fomin 1995; Stanley, EC2 7.13.
+    """
+    labels = sorted(word)
+    m = len(labels)
+
+    def grow(shape, r):
+        return shape[:r] + (shape[r] + 1,) + shape[r + 1 :] if r < len(shape) else shape + (1,)
+
+    def added_row(small, large):
+        return next((r for r, part in enumerate(small) if part != large[r]), len(small))
+
+    previous = [()] * (m + 1)  # previous[j]: the shape at (i - 1, j)
+    for letter in word:
+        current = [()]
+        for j in range(1, m + 1):
+            rho, mu, nu = previous[j - 1], previous[j], current[j - 1]
+            if labels[j - 1] == letter:  # then rho == mu == nu
+                current.append(grow(rho, 0))
+            elif mu != nu:
+                current.append(tuple(map(max, zip_longest(mu, nu, fillvalue=0))))
+            elif mu == rho:
+                current.append(mu)
+            else:
+                current.append(grow(mu, added_row(rho, mu) + 1))
+        previous = current
+    rows = []
+    for j in range(1, m + 1):  # the label of rank j sits in the box that step j adds
+        r = added_row(previous[j - 1], previous[j])
+        if r == len(rows):
+            rows.append([])
+        rows[r].append(labels[j - 1])
+    return Tableau(rows)
+
+
+class TestIndependentOracles:
+    def test_growth_diagram_gives_both_compositions(self):
+        # (x→T)←y and x→(T←y) are both P of x·w(T)·y, where the reading word
+        # w(T) runs from the last row down to row 0.
+        for n in range(7):
+            for case in enumerate_cases(n):
+                report = commute_check(case.tableau, case.x, case.y)
+                reading = [v for row in reversed(case.tableau.rows) for v in row]
+                p = growth_insertion_tableau([case.x, *reading, case.y])
+                assert p == report.left == report.right, case
+
+    def test_transpose_duality(self):
+        # Transposing swaps row and column insertion: the case (Tᵗ, y, x) runs the
+        # original's trails transposed, so S is reflected, a↔i, b↔j, IJB↔AJB, IJ↔AB.
+        dual_configuration = {
+            None: None, "JB": "JB", "IJB": "AJB", "AJB": "IJB", "IJ": "AB", "AB": "IJ"
+        }
+        for n in range(7):
+            for case in enumerate_cases(n):
+                report = commute_check(case.tableau, case.x, case.y)
+                dual = commute_check(case.tableau.transpose(), case.y, case.x)
+                inter = report.intersection
+                expected = inter._replace(
+                    s_box=inter.s_box and inter.s_box[::-1],
+                    a=inter.i,
+                    i=inter.a,
+                    b=inter.j,
+                    j=inter.b,
+                    configuration=dual_configuration[inter.configuration],
+                )
+                assert dual.intersection == expected, case
+                assert dual.left == report.right.transpose(), case
+                assert dual.right == report.left.transpose(), case
 
 
 RECORDS = {  # each record type, read from a fresh analysis of the worked case, and its first field

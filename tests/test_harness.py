@@ -19,17 +19,17 @@ from schensted import (
     commute_check,
     enumerate_cases,
     enumerate_syt,
-    reversal_check,
     row_insert,
     rsk,
     run_sweep,
 )
 from schensted import fused, harness, insertion, tableau
-from schensted.harness import INVOLUTION_NUMBERS, CaseDescriptor, SweepSummary, check_case
+from schensted.harness import CaseDescriptor, SweepSummary, check_case
 from schensted.harness import check_report
 from schensted.insertion import _bump
 
-from conftest import WORKED_ROWS, WORKED_X, WORKED_Y, random_words
+from conftest import INVOLUTION_NUMBERS, WORKED_ROWS, WORKED_X, WORKED_Y, random_words
+from conftest import reversal_check
 
 
 def row_insert_reversing_row_0(t, x):
@@ -165,6 +165,18 @@ class TestRunSweep:
         assert single.cases_total == multi.cases_total
         assert single.variant_counts == multi.variant_counts
         assert single.configuration_counts == multi.configuration_counts
+
+    def test_a_shard_owns_whole_tableaux(self):
+        # Summaries compare equal on every count; _sweep_level leaves elapsed at 0.
+        for n in range(7):
+            whole = harness._sweep_level(n)
+            for num_shards in (2, 3):
+                merged = SweepSummary()
+                for shard in range(num_shards):
+                    part = harness._sweep_level(n, shard, num_shards)
+                    assert part.cases_total % ((n + 1) * (n + 2)) == 0, (n, shard, num_shards)
+                    merged.merge(part)
+                assert merged == whole, (n, num_shards)
 
     @pytest.mark.parametrize("max_n,workers", [(-1, 1), (2, 0), (2, -2)])
     def test_bad_arguments_rejected(self, max_n, workers):
