@@ -95,17 +95,19 @@ def enumerate_syt(n: int) -> Iterator[Tableau]:
         yield Tableau._trusted(rows + ((n,),))
 
 
-def enumerate_cases(n: int) -> Iterator[CaseDescriptor]:
+def enumerate_cases(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[CaseDescriptor]:
     """All (T, x, y) with T an SYT of size n, one case per order type.
 
     Each tableau is relabelled once, with 3, 6, ..., 3n, and validated.  For
     gaps g != h among 0..n the pair is (3g + 1, 3h + 1); within one gap g it
     is (3g + 1, 3g + 2) in both orders: (n + 1)(n + 2) pairs per tableau.
+    Only every ``num_shards``-th tableau, from the ``shard``-th on, is relabelled
+    and yields its cases; the others are skipped as enumerated.
     """
     gaps = range(n + 1)
     pairs = [(3 * g + 1, 3 * h + 1) for g in gaps for h in gaps if g != h]
     pairs += [(3 * g + 1 + k, 3 * g + 2 - k) for g in gaps for k in (0, 1)]
-    for t in enumerate_syt(n):
+    for t in islice(enumerate_syt(n), shard, None, num_shards):
         rt = Tableau(tuple(tuple(3 * v for v in row) for row in t.rows))
         for x, y in pairs:
             yield CaseDescriptor(rt, x, y)
@@ -128,10 +130,10 @@ def check_modify_property(row: tuple[Label, ...], x: Label) -> Optional[Label]:
     if x in row:
         raise XAlreadyPresent(f"{x} already present in row")
     # Bumping into a one-row list leaves the tuple row as it is and bumps out at most one label.
-    boxes, bumped = _bump([row], x)
+    cols, bumped = _bump([row], x)
     if not bumped:
         return None
-    (_, p), y = boxes[0], bumped[0]
+    p, y = cols[0], bumped[0]
     n = len(row) - p  # y and the labels right of it
     # Exact-size constructors only: building these from generators raised peak memory by
     # about 18 % on 300-cell words.
@@ -218,7 +220,7 @@ def _watch(stop) -> None:
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
     """Check all cases of every ``num_shards``-th tableau of size n, from the ``shard``-th on."""
     summary = SweepSummary()
-    for _, cases in islice(groupby(enumerate_cases(n), itemgetter(0)), shard, None, num_shards):
+    for _, cases in groupby(enumerate_cases(n, shard, num_shards), itemgetter(0)):
         if _stop is not None and _stop.is_set():  # between tableaux
             break  # run_sweep discards a stopped summary
         for case in cases:
@@ -275,8 +277,9 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     rows: list[list[Label]] = []
     q_rows: list[list[int]] = []
     for step_index, v in enumerate(word, 1):
-        check_label(v)  # before bisecting, which would compare mixed types
-        r = _bump(rows, v)[0][-1][0]  # the row of the created box
+        if type(v) is not int or v < 0:
+            check_label(v)  # before bisecting, which would compare mixed types
+        r = len(_bump(rows, v)[0]) - 1  # the row of the created box: one column per row
         if r == len(q_rows):
             q_rows.append([])
         elif r > len(q_rows):

@@ -5,6 +5,9 @@ activates, ending at the newly created box, and the label each box but the
 created one held *before* the insertion.  The insertion itself can be
 reconstructed from the trail alone: slide every trail label to the next trail
 box and drop the inserted value into the first box (see :func:`slide_trail`).
+Step k of a row trail lies in row k, so the bumping kernel records only the
+column of each row step and the trail's boxes pair it with k; a column step
+records its whole box.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def validate_trail(trail: Trail) -> None:
 
 def _bump(
     rows: list[list[Label] | tuple[Label, ...]], x: Label, by_column: bool = False
-) -> tuple[list[BoxCoord], list[Label]]:
+) -> tuple[list[int] | list[BoxCoord], list[Label]]:
     """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
     Row k (column k) swaps the incoming value for its smallest larger entry,
@@ -74,35 +77,43 @@ def _bump(
     last row opening a new one.  Column k is ``rows[r][k]`` for the first
     ``height`` rows: one box per column, no transposing.  Rows are written as
     lists, a tuple row copied on its first write; rows not written stay as they
-    are.  Returns the boxes of the steps and the labels bumped out of them.
+    are.  Returns the record of the steps and the labels bumped out of them.
+    A row bump records the column of each step, since step k lies in row k: the
+    created box is in row ``len(record) - 1``.  A column bump records each
+    step's ``(row, col)`` box.
     """
-    boxes, labels = [], []
+    steps, labels = [], []
+    if not by_column:
+        for k, row in enumerate(rows):
+            c = bisect_left(row, x)
+            steps.append(c)
+            if type(row) is tuple:
+                row = rows[k] = list(row)
+            if c == len(row):
+                row.append(x)
+                return steps, labels
+            labels.append(row[c])
+            row[c], x = x, row[c]
+        steps.append(0)
+        rows.append([x])
+        return steps, labels
     n = height = len(rows)  # n stays the row count until the bump ends
     for k in count():
-        if by_column:
-            while height and len(rows[height - 1]) <= k:
-                height -= 1  # rows that reach column k
-            r = bisect_left(rows, x, 0, height, key=itemgetter(k))
-            c = k
-        elif k < n:
-            r = k
-            c = bisect_left(rows[k], x)
-        else:
-            r = n
-            c = 0
+        while height and len(rows[height - 1]) <= k:
+            height -= 1  # rows that reach column k
+        r = bisect_left(rows, x, 0, height, key=itemgetter(k))
+        steps.append((r, k))
         if r == n:
-            rows.append([])
+            rows.append([x])
+            return steps, labels
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)
-        boxes.append((r, c))
-        if c == len(row):
+        if k == len(row):
             row.append(x)
-            return boxes, labels
-        bumped = row[c]
-        labels.append(bumped)
-        row[c] = x
-        x = bumped
+            return steps, labels
+        labels.append(row[k])
+        row[k], x = x, row[k]
 
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
@@ -111,9 +122,11 @@ def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
     if x in index:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
-    boxes, labels = _bump(rows, x, by_column=kind == "column")
+    steps, labels = _bump(rows, x, by_column=kind == "column")
+    if kind == "row":
+        steps = [*enumerate(steps)]  # step k in row k; a list, so the tuple below is exact-size
     result = Tableau._trusted(tuple(map(tuple, rows)), index | {x})
-    return result, Trail(kind, tuple(boxes), tuple(labels))
+    return result, Trail(kind, tuple(steps), tuple(labels))
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:

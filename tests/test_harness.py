@@ -47,16 +47,19 @@ def bump_reversing_row_0(rows, x, by_column=False):
 
 
 def bump_reporting_the_box_rows_up_at(step, rows_up=1):
-    """A planted fault: a bump whose ``step``-th call reports its created box ``rows_up`` rows up."""
+    """A planted fault: a row bump whose ``step``-th call reports its created box ``rows_up`` rows up.
+
+    A row bump records one column per row, so the created box moves ``rows_up`` rows by
+    recording its column ``rows_up`` more times.
+    """
     calls = []
 
     def bump(rows, x, by_column=False):
-        boxes, labels = _bump(rows, x, by_column)
+        cols, labels = _bump(rows, x, by_column)
         calls.append(x)
         if len(calls) == step:
-            r, c = boxes[-1]
-            boxes[-1] = (r + rows_up, c)
-        return boxes, labels
+            cols += [cols[-1]] * rows_up
+        return cols, labels
 
     return bump
 
@@ -120,6 +123,20 @@ class TestEnumerateCases:
         monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
         list(enumerate_cases(n))
         assert len(calls) == brute_force_involution_count(n)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_a_shard_relabels_only_its_own_tableaux(self, n, monkeypatch):
+        whole, m = list(enumerate_cases(n)), (n + 1) * (n + 2)  # m cases per tableau
+        blocks = [whole[k : k + m] for k in range(0, len(whole), m)]
+        calls = []
+        original = tableau._validate
+        monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
+        for num_shards in (2, 3):
+            for shard in range(num_shards):
+                calls.clear()
+                owned = blocks[shard::num_shards]
+                assert list(enumerate_cases(n, shard, num_shards)) == [c for b in owned for c in b]
+                assert len(calls) == len(owned)
 
     @pytest.mark.parametrize("n", range(5))
     def test_case_invariants(self, n):
@@ -410,7 +427,7 @@ class TestRsk:
 
     @pytest.mark.parametrize(
         "words",
-        [pytest.param(functools.partial(permutations, range(1, n + 1)), id=str(n)) for n in range(7)]
+        [pytest.param(functools.partial(permutations, range(1, n + 1)), id=str(n)) for n in range(8)]
         + [
             pytest.param(functools.partial(random_words, seed), id=f"rsk-300-cells-seed-{seed}")
             for seed in (1, 2, 3)

@@ -471,8 +471,8 @@ def bump_off_by_one_when(fault):
 
     def bump(rows, x, by_column=False):
         planted = fault(rows[0])
-        boxes, labels = _bump(rows, x, by_column)
-        return boxes, [labels[0] + 1] if planted and labels else labels
+        steps, labels = _bump(rows, x, by_column)
+        return steps, [labels[0] + 1] if planted and labels else labels
 
     return bump
 
