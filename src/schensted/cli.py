@@ -61,28 +61,19 @@ def cmd_commute(args: argparse.Namespace) -> int:
                 print(f"intersection.{key}={value}")
         print(f"all_equal={str(report.all_equal).lower()}")
     else:
-        blocks = {
-            f"(x->T)<-y with x={args.x}, y={args.y}": report.left,
-            "x->(T<-y)": report.right,
-            "fused": report.fused,
-        }
+        names = (f"(x->T)<-y with x={args.x}, y={args.y}", "x->(T<-y)", "fused")
         opts = RenderOptions(args.convention, args.format)
-        rendered = {name: render_tableau(tab, opts).splitlines() for name, tab in blocks.items()}
-        height = max(len(lines) for lines in rendered.values())
-        width = {
-            name: max([len(ln) for ln in lines] + [len(name)])
-            for name, lines in rendered.items()
-        }
-        names = list(blocks)
-        print("   ".join(name.ljust(width[name]) for name in names))
-        for k in range(height):
-            padded = []
-            for name in names:
-                lines = rendered[name]
-                pad = height - len(lines)  # keep bottom alignment in French mode
-                line = lines[k - pad] if k >= pad else ""
-                padded.append(line.ljust(width[name]))
-            print("   ".join(padded).rstrip())
+        tabs = (report.left, report.right, report.fused)
+        blocks = [render_tableau(tab, opts).splitlines() for tab in tabs]
+        height = max(map(len, blocks))
+        columns = []
+        for name, lines in zip(names, blocks):  # bottom-aligned under its name, padded to its width
+            lines = [name] + [""] * (height - len(lines)) + lines
+            columns.append([line.ljust(max(map(len, lines))) for line in lines])
+        header, *body = zip(*columns)
+        print("   ".join(header))
+        for line in body:
+            print("   ".join(line).rstrip())
         print()
         print(f"intersection: {report.intersection.summary()}")
         print("EQUAL" if report.all_equal else "UNEQUAL")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import cycle, groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, get_args
 
@@ -250,18 +250,15 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
         from concurrent.futures import ProcessPoolExecutor
 
         stop = multiprocessing.Event()
+        levels = [n for n in range(max_n + 1) for _ in range(workers)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
-            futures = [
-                pool.submit(_sweep_level, n, shard, workers)
-                for n in range(max_n + 1)
-                for shard in range(workers)
-            ]
+            # map yields in submission order, so the failure raised is the smallest level's,
+            # and cancels every shard not yet started when it raises.
             try:
-                for fut in futures:  # in order: the failure raised is the smallest level's
-                    total.merge(fut.result())
+                for part in pool.map(_sweep_level, levels, cycle(range(workers)), repeat(workers)):
+                    total.merge(part)
             except BaseException:
                 stop.set()  # every earlier level is merged; shards already running stop
-                pool.shutdown(cancel_futures=True)  # the levels not yet started never start
                 raise
     total.elapsed = time.perf_counter() - start
     return total

@@ -13,6 +13,7 @@ from schensted import (
     Tableau,
     TrailInvariantViolation,
     WeakIntersectionDetected,
+    commute_check,
     enumerate_syt,
     parse_tableau,
     render_tableau,
@@ -22,6 +23,7 @@ from schensted import (
 from schensted.cli import main
 
 from conftest import WORKED_ROWS
+from conftest import WORKED_X, WORKED_Y
 
 
 @pytest.fixture
@@ -54,6 +56,41 @@ class TestRendering:
         out = render_tableau(worked_t, row_trail=trail)
         assert "9_" in out
         assert "*" in out  # the newly created box
+
+    def test_both_worked_trails(self, worked):
+        # S = (2, 1) is in both trails, so 13 carries both marks.
+        report = commute_check(worked, WORKED_X, WORKED_Y)
+        trails = {"row_trail": report.row_trail, "col_trail": report.col_trail}
+        assert render_tableau(worked, **trails).splitlines() == [
+            " *_",
+            " 17  19_",
+            "|11  18_",
+            "  4 |13_ |14",
+            "  2    6 10_ |15 |*",
+            "  1    3   5  9_ 12 16",
+        ]
+        assert render_tableau(worked, RenderOptions(format="latex"), **trails).splitlines() == [
+            r"\begin{ytableau}",
+            r"\underline{\emptyset} \\",
+            r"17 & \underline{19} \\",
+            r"\mid\!\!11 & \underline{18} \\",
+            r"4 & \mid\!\!\underline{13} & \mid\!\!14 \\",
+            r"2 & 6 & \underline{10} & \mid\!\!15 & \mid\!\!\emptyset \\",
+            r"1 & 3 & 5 & \underline{9} & 12 & 16",
+            r"\end{ytableau}",
+        ]
+
+    def test_shared_empty_box(self):
+        t = Tableau([[2, 3]])
+        report = commute_check(t, 1, 4)  # both trails end in the new box (0, 2)
+        assert report.intersection.s_box == (0, 2)
+        out = render_tableau(t, row_trail=report.row_trail, col_trail=report.col_trail)
+        assert out == "|2 |3 |*_"
+
+    def test_trail_of_another_tableau_raises(self, worked):
+        _, trail = row_insert(worked, WORKED_Y)  # its first box, (0, 3), is past the end of [1]
+        with pytest.raises(ValueError, match=r"trail box \(0, 3\)"):
+            render_tableau(Tableau([[1]]), row_trail=trail)
 
     def test_trail_serialization(self, worked):
         _, trail = row_insert(worked, 8)
@@ -112,6 +149,44 @@ class TestCommuteCommand:
         assert "EQUAL" in out
         assert "i=10, a=11, s=13, j=18, b=14" in out
         assert "configuration JB" in out
+
+    @pytest.mark.parametrize("convention", ["french", "english"])
+    def test_worked_example_layout(self, convention, worked_file, capsys):
+        argv = ["commute", "--x", "7", "--y", "8", "--convention", convention, "--file", worked_file]
+        assert main(argv) == 0
+        rows = [  # first row first
+            " 1  3  5  8 12 16          1  3  5  8 12 16    1  3  5  8 12 16",
+            " 2  6  9 14 15             2  6  9 14 15       2  6  9 14 15",
+            " 4 10 13                   4 10 13             4 10 13",
+            " 7 11                      7 11                7 11",
+            "17 18                     17 18               17 18",
+            "19                        19                  19",
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            "(x->T)<-y with x=7, y=8   x->(T<-y)           fused            ",  # not stripped
+            *(rows[::-1] if convention == "french" else rows),
+            "",
+            "intersection: strong at (2, 1) with i=10, a=11, s=13, j=18, b=14, configuration JB",
+            "EQUAL",
+        ]
+
+    def test_a_shorter_result_is_bottom_aligned(self, worked_file, capsys, monkeypatch):
+        analyse = schensted.cli.commute_check
+        short = Tableau([[1, 2], [3]])
+        monkeypatch.setattr(
+            "schensted.cli.commute_check",
+            lambda *args: analyse(*args)._replace(right=short, all_equal=False),
+        )
+        assert main(["commute", "--x", "7", "--y", "8", "--file", worked_file]) == 1
+        assert capsys.readouterr().out.splitlines()[:7] == [
+            "(x->T)<-y with x=7, y=8   x->(T<-y)   fused            ",
+            "19                                    19",
+            "17 18                                 17 18",
+            " 7 11                                  7 11",
+            " 4 10 13                               4 10 13",
+            " 2  6  9 14 15            3            2  6  9 14 15",
+            " 1  3  5  8 12 16         1 2          1  3  5  8 12 16",
+        ]
 
     def test_porcelain(self, worked_file, capsys):
         assert main(

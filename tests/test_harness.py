@@ -279,10 +279,24 @@ class TestCheckCase:
         check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
         assert (len(full), len(local)) == (0, 3)
 
+    def test_an_error_of_the_analysis_is_a_commutation_failure(self, worked):
+        case = CaseDescriptor(worked, 13, WORKED_Y)  # 13 is in the tableau
+        with pytest.raises(SweepFailure) as exc:
+            check_case(case, None, SweepSummary())
+        assert exc.value.invariant == "commutation" and exc.value.case == case
+        assert isinstance(exc.value.__cause__, insertion.XAlreadyPresent)
+
     def test_planted_fault_in_row_insert_is_caught(self, worked, monkeypatch):
         monkeypatch.setattr(fused, "row_insert", row_insert_reversing_row_0)
         with pytest.raises(SweepFailure):
             check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
+
+
+def shift_left_row_label(report, k, delta):
+    """The report with label k of the row trail of (x→T)←y moved by ``delta``."""
+    labels = list(report.left_row_trail.labels)
+    labels[k] += delta
+    return report._replace(left_row_trail=report.left_row_trail._replace(labels=tuple(labels)))
 
 
 class TestCheckReport:
@@ -303,8 +317,10 @@ class TestCheckReport:
             (lambda r: r._replace(after_col=r.after_row), "trail"),
             (lambda r: r._replace(row_trail=r.col_trail, col_trail=r.row_trail), "trail"),
             (lambda r: r._replace(all_equal=False), "commutation"),
+            (lambda r: shift_left_row_label(r, 0, -1), "trail_agreement_below"),
+            (lambda r: shift_left_row_label(r, 4, +1), "trail_agreement_above"),
         ],
-        ids=["row-result", "column-result", "trails-swapped", "unequal"],
+        ids=["row-result", "column-result", "trails-swapped", "unequal", "below-s", "above-s"],
     )
     def test_a_report_that_does_not_fit_its_case_fails(self, tamper, invariant):
         report = commute_check(*self.CASE)

@@ -284,6 +284,11 @@ class TestSlideTrail:
             with pytest.raises(TrailInconsistentWithTableau):
                 slide_trail(Tableau([[1]]), trail, 0)
 
+    def test_inserted_value_already_present(self, worked):
+        _, trail = row_insert(worked, WORKED_Y)
+        with pytest.raises(XAlreadyPresent):
+            slide_trail(worked, trail, 13)
+
     @pytest.mark.parametrize("n", range(5))
     def test_reconstructs_both_insertions_exhaustively(self, n):
         for case in enumerate_cases(n):

@@ -218,6 +218,18 @@ class TestClassification:
             classify_intersection(row_trail, col_trail, 0, 1)
 
 
+    def test_trails_of_the_wrong_kinds_raise(self, worked):
+        row_trail, col_trail = trails_of(worked, WORKED_X, WORKED_Y)
+        with pytest.raises(ValueError, match="expected a row trail and a column trail"):
+            classify_intersection(col_trail, row_trail, WORKED_X, WORKED_Y)
+
+    def test_shared_box_labeled_inconsistently_raises(self, worked):
+        # S = (2, 1) is step 1 of the column trail, where 13 becomes 99.
+        row_trail, col_trail = trails_of(worked, WORKED_X, WORKED_Y)
+        col_trail = col_trail._replace(labels=(11, 99, 14, 15))
+        with pytest.raises(MultipleSharedBoxes, match="labeled inconsistently"):
+            classify_intersection(row_trail, col_trail, WORKED_X, WORKED_Y)
+
     def test_band_rule_violation_raises_value_error(self):
         # Step 1 of the row trail is in row 2, so its segment spans two row bands.
         row_trail = Trail("row", ((0, 1), (2, 0)), (5,))
