@@ -38,7 +38,7 @@ from .insertion import (
     slide_trail,
     validate_trail,
 )
-from .render import RenderOptions, render_tableau, render_trail
+from .render import render_tableau, render_trail
 from .tableau import (
     BoxCoord,
     ColumnNotIncreasing,

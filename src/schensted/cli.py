@@ -15,11 +15,10 @@ import os
 import sys
 
 from .fused import commute_check
-from .harness import CaseDescriptor, DuplicateInWord, SweepFailure, SweepSummary, check_report
-from .harness import rsk, run_sweep
-from .insertion import InvariantViolation, XAlreadyPresent, column_insert, row_insert
-from .render import RenderOptions, render_tableau, render_trail
-from .tableau import Tableau, TableauError, dump_tableau, parse_tableau
+from .harness import CaseDescriptor, SweepFailure, SweepSummary, check_report, rsk, run_sweep
+from .insertion import InvariantViolation, Trail, column_insert, row_insert
+from .render import render_tableau, render_trail
+from .tableau import Tableau, dump_tableau, parse_tableau
 
 
 def _read_tableau(args: argparse.Namespace) -> Tableau:
@@ -31,19 +30,20 @@ def _read_tableau(args: argparse.Namespace) -> Tableau:
     return parse_tableau(text)
 
 
+def _render(args: argparse.Namespace, t: Tableau, *trails: Trail) -> str:
+    return render_tableau(t, *trails, convention=args.convention, format=args.format)
+
+
 def cmd_insert(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
     if args.mode == "row":
         result, trail = row_insert(t, args.value)
-        row_trail, col_trail = trail, None
     else:
         result, trail = column_insert(args.value, t)
-        row_trail, col_trail = None, trail
-    opts = RenderOptions(args.convention, args.format)
     if args.annotate == "trails":
-        print(render_tableau(t, opts, row_trail=row_trail, col_trail=col_trail))
+        print(_render(args, t, trail))
         print()
-    print(render_tableau(result, opts))
+    print(_render(args, result))
     print()
     print(render_trail(trail))
     return 0
@@ -62,9 +62,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         print(f"all_equal={str(report.all_equal).lower()}")
     else:
         names = (f"(x->T)<-y with x={args.x}, y={args.y}", "x->(T<-y)", "fused")
-        opts = RenderOptions(args.convention, args.format)
-        tabs = (report.left, report.right, report.fused)
-        blocks = [render_tableau(tab, opts).splitlines() for tab in tabs]
+        blocks = [_render(args, tab).splitlines() for tab in (report.left, report.right, report.fused)]
         height = max(map(len, blocks))
         columns = []
         for name, lines in zip(names, blocks):  # bottom-aligned under its name, padded to its width
@@ -103,17 +101,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_rsk(args: argparse.Namespace) -> int:
     p, q = rsk(args.word)
-    opts = RenderOptions(args.convention, args.format)
     print("P:")
-    print(render_tableau(p, opts))
+    print(_render(args, p))
     print("Q:")
-    print(render_tableau(q, opts))
+    print(_render(args, q))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
-    print(render_tableau(t, RenderOptions(args.convention, args.format)))
+    print(_render(args, t))
     return 0
 
 
@@ -170,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TableauError, XAlreadyPresent, DuplicateInWord, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except InvariantViolation as err:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import cycle, groupby, islice, repeat
+from itertools import cycle, groupby, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, get_args
 
@@ -53,9 +53,7 @@ class SweepFailure(AssertionError):
 class SweepSummary:
     cases_total: int = 0
     variant_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(get_args(Variant), 0))
-    configuration_counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(CONFIGURATIONS.values(), 0)
-    )
+    configuration_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CONFIGURATIONS, 0))
     part_ii_hypothesis_failures: int = 0
     elapsed: float = 0.0
 
@@ -101,13 +99,14 @@ def enumerate_cases(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Cas
     Each tableau is relabelled once, with 3, 6, ..., 3n, and validated.  For
     gaps g != h among 0..n the pair is (3g + 1, 3h + 1); within one gap g it
     is (3g + 1, 3g + 2) in both orders: (n + 1)(n + 2) pairs per tableau.
-    Only every ``num_shards``-th tableau, from the ``shard``-th on, is relabelled
-    and yields its cases; the others are skipped as enumerated.
+    Only the ``shard``-th of ``num_shards`` contiguous runs of the tableaux is
+    relabelled and yields its cases, so the shards in order give the whole level's.
     """
     gaps = range(n + 1)
     pairs = [(3 * g + 1, 3 * h + 1) for g in gaps for h in gaps if g != h]
     pairs += [(3 * g + 1 + k, 3 * g + 2 - k) for g in gaps for k in (0, 1)]
-    for t in islice(enumerate_syt(n), shard, None, num_shards):
+    syt = list(enumerate_syt(n))
+    for t in syt[shard * len(syt) // num_shards : (shard + 1) * len(syt) // num_shards]:
         rt = Tableau(tuple(tuple(3 * v for v in row) for row in t.rows))
         for x, y in pairs:
             yield CaseDescriptor(rt, x, y)
@@ -218,7 +217,7 @@ def _watch(stop) -> None:
 
 
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
-    """Check all cases of every ``num_shards``-th tableau of size n, from the ``shard``-th on."""
+    """Check all cases of the ``shard``-th of ``num_shards`` contiguous runs of tableaux of size n."""
     summary = SweepSummary()
     for _, cases in groupby(enumerate_cases(n, shard, num_shards), itemgetter(0)):
         if _stop is not None and _stop.is_set():  # between tableaux
@@ -232,8 +231,9 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
     """Check every invariant over all cases with tableau size up to max_n.
 
     Raises SweepFailure on the first violation, else returns the summary, which
-    depends on ``max_n`` alone; each worker takes every ``workers``-th tableau of a
-    level.  Raises ValueError for a negative ``max_n`` or fewer than one worker.
+    depends on ``max_n`` alone.  Shard k takes the k-th of ``workers`` contiguous runs of a
+    level's tableaux and shards are read in order, so the failure is the same for any ``workers``.
+    Raises ValueError for a negative ``max_n`` or fewer than one worker.
     """
     # seed is ignored; it stays only because perfbench/run.py still passes one.
     if max_n < 0:

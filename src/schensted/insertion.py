@@ -150,14 +150,13 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     check_label(inserted)  # before hashing it
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
-    boxes, labels, rows = trail.boxes, trail.labels, t.rows
+    boxes, labels = trail.boxes, trail.labels
     if not boxes or t.get(trail.created_box) is not None:
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInconsistentWithTableau("every box but the created one must carry a label")
     for box, label in zip(boxes, labels):
-        r, c = box
-        if not (0 <= r < len(rows) and 0 <= c < len(rows[r]) and rows[r][c] == label):
+        if t.get(box) != label:  # None outside the shape, and no label is None
             raise TrailInconsistentWithTableau(f"box {box} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
 

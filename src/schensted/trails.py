@@ -34,14 +34,8 @@ if TYPE_CHECKING:  # fused imports this module
 
 Variant = Literal["disjoint", "shared_empty_box", "strong"]
 
-# The only adjacency patterns that can occur around a shared labeled box.
-CONFIGURATIONS = {
-    frozenset({"J", "B"}): "JB",
-    frozenset({"I", "J", "B"}): "IJB",
-    frozenset({"A", "J", "B"}): "AJB",
-    frozenset({"I", "J"}): "IJ",
-    frozenset({"A", "B"}): "AB",
-}
+# The only adjacency patterns possible around a shared labeled box, as letters in the order I, A, J, B.
+CONFIGURATIONS = ("JB", "IJB", "AJB", "IJ", "AB")
 
 
 class WeakIntersectionDetected(InvariantViolation):
@@ -151,18 +145,14 @@ def classify_intersection(
         raise MultipleSharedBoxes(f"shared box {s_box} labeled inconsistently")
     b = col_labels[ci + 1] if ci + 1 < len(col_labels) else None  # None when B is the created box
     j = row_labels[ri + 1] if ri + 1 < len(row_labels) else None
-    adjacency = set()
-    if ci > 0 and col_boxes[ci - 1] == (ri, ci - 1):
-        adjacency.add("A")
-    if col_boxes[ci + 1] == (ri, ci + 1):
-        adjacency.add("B")
-    if ri > 0 and row_boxes[ri - 1] == (ri - 1, ci):
-        adjacency.add("I")
-    if row_boxes[ri + 1] == (ri + 1, ci):
-        adjacency.add("J")
-    configuration = CONFIGURATIONS.get(frozenset(adjacency))
-    if configuration is None:
-        raise ImpossibleConfiguration(f"adjacency {sorted(adjacency)} around {s_box}")
+    configuration = (
+        ("I" if ri > 0 and row_boxes[ri - 1] == (ri - 1, ci) else "")
+        + ("A" if ci > 0 and col_boxes[ci - 1] == (ri, ci - 1) else "")
+        + ("J" if row_boxes[ri + 1] == (ri + 1, ci) else "")
+        + ("B" if col_boxes[ci + 1] == (ri, ci + 1) else "")
+    )
+    if configuration not in CONFIGURATIONS:
+        raise ImpossibleConfiguration(f"adjacency {sorted(configuration)} around {s_box}")
     return IntersectionReport(
         "strong", s_box=s_box, s=s, a=a, b=b, i=i, j=j, configuration=configuration
     )

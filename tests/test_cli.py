@@ -8,7 +8,6 @@ from schensted import (
     InvalidResult,
     InvariantViolation,
     MultipleSharedBoxes,
-    RenderOptions,
     SweepSummary,
     Tableau,
     TrailInvariantViolation,
@@ -40,28 +39,28 @@ class TestRendering:
 
     def test_english_ascii(self):
         t = Tableau([[1, 3], [2]])
-        assert render_tableau(t, RenderOptions(convention="english")) == "1 3\n2"
+        assert render_tableau(t, convention="english") == "1 3\n2"
 
     def test_empty(self):
         assert render_tableau(Tableau()) == ""
 
     def test_latex(self):
         t = Tableau([[1, 3], [2]])
-        out = render_tableau(t, RenderOptions(format="latex"))
+        out = render_tableau(t, format="latex")
         assert out == "\\begin{ytableau}\n2 \\\\\n1 & 3\n\\end{ytableau}"
 
     def test_annotated_trails(self, worked):
         worked_t = worked
         _, trail = row_insert(worked_t, 8)
-        out = render_tableau(worked_t, row_trail=trail)
+        out = render_tableau(worked_t, trail)
         assert "9_" in out
         assert "*" in out  # the newly created box
 
     def test_both_worked_trails(self, worked):
         # S = (2, 1) is in both trails, so 13 carries both marks.
         report = commute_check(worked, WORKED_X, WORKED_Y)
-        trails = {"row_trail": report.row_trail, "col_trail": report.col_trail}
-        assert render_tableau(worked, **trails).splitlines() == [
+        trails = (report.row_trail, report.col_trail)
+        assert render_tableau(worked, *trails).splitlines() == [
             " *_",
             " 17  19_",
             "|11  18_",
@@ -69,7 +68,7 @@ class TestRendering:
             "  2    6 10_ |15 |*",
             "  1    3   5  9_ 12 16",
         ]
-        assert render_tableau(worked, RenderOptions(format="latex"), **trails).splitlines() == [
+        assert render_tableau(worked, *trails, format="latex").splitlines() == [
             r"\begin{ytableau}",
             r"\underline{\emptyset} \\",
             r"17 & \underline{19} \\",
@@ -80,17 +79,24 @@ class TestRendering:
             r"\end{ytableau}",
         ]
 
+    @pytest.mark.parametrize("format", ["ascii", "latex"])
+    def test_marks_do_not_depend_on_the_order_of_the_trails(self, worked, format):
+        # S = (2, 1) is on both trails; its row mark goes on first whichever trail comes first.
+        report = commute_check(worked, WORKED_X, WORKED_Y)
+        row_first = render_tableau(worked, report.row_trail, report.col_trail, format=format)
+        assert render_tableau(worked, report.col_trail, report.row_trail, format=format) == row_first
+
     def test_shared_empty_box(self):
         t = Tableau([[2, 3]])
         report = commute_check(t, 1, 4)  # both trails end in the new box (0, 2)
         assert report.intersection.s_box == (0, 2)
-        out = render_tableau(t, row_trail=report.row_trail, col_trail=report.col_trail)
+        out = render_tableau(t, report.row_trail, report.col_trail)
         assert out == "|2 |3 |*_"
 
     def test_trail_of_another_tableau_raises(self, worked):
         _, trail = row_insert(worked, WORKED_Y)  # its first box, (0, 3), is past the end of [1]
         with pytest.raises(ValueError, match=r"trail box \(0, 3\)"):
-            render_tableau(Tableau([[1]]), row_trail=trail)
+            render_tableau(Tableau([[1]]), trail)
 
     def test_trail_serialization(self, worked):
         _, trail = row_insert(worked, 8)
@@ -107,7 +113,7 @@ class TestRendering:
     def test_round_trip_over_corpus(self, n):
         for t in enumerate_syt(n):
             assert parse_tableau(render_tableau(t)) == t
-            assert parse_tableau(render_tableau(t, RenderOptions(convention="english"))) == t
+            assert parse_tableau(render_tableau(t, convention="english")) == t
 
 
 class TestInsertCommand:

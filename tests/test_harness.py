@@ -134,7 +134,7 @@ class TestEnumerateCases:
         for num_shards in (2, 3):
             for shard in range(num_shards):
                 calls.clear()
-                owned = blocks[shard::num_shards]
+                owned = blocks[shard * len(blocks) // num_shards : (shard + 1) * len(blocks) // num_shards]
                 assert list(enumerate_cases(n, shard, num_shards)) == [c for b in owned for c in b]
                 assert len(calls) == len(owned)
 
@@ -374,6 +374,27 @@ class TestSweepFailure:
         with pytest.raises(SweepFailure) as exc:
             run_sweep(8, workers=2)
         return exc.value
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_failure_reported_does_not_depend_on_the_worker_count(self, workers, monkeypatch):
+        tableaux = [case.tableau for case in enumerate_cases(5)][:: 6 * 7]  # 42 cases each
+        # Taken by stride, the 5th would be in shard 0 of 2, which is read before shard 1 and the 2nd.
+        planted = {tableaux[1], tableaux[4]}
+        real = harness.check_case
+
+        def failing(case, rng, summary):
+            if case.tableau in planted:
+                raise SweepFailure(case, "planted")
+            real(case, rng, summary)
+
+        monkeypatch.setattr(harness, "check_case", failing)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        with pytest.raises(SweepFailure) as exc:
+            run_sweep(6, workers=workers)
+        assert exc.value.case.tableau == tableaux[1] == Tableau([[3, 6, 9, 12], [15]])
 
     def test_pool_stops_at_the_first_failure(self, tmp_path, monkeypatch):
         marker = tmp_path / "level-8-started"

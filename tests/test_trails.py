@@ -93,11 +93,12 @@ def _polyline_meetings(verts1, verts2):
     return points
 
 
-POSSIBLE_ADJACENCIES = {frozenset(p) for p in ("JB", "IJB", "AJB", "IJ", "AB")}
+# Each possible set of neighbors of S on the trails, and its name in the paper.
+POSSIBLE_ADJACENCIES = {frozenset(p): p for p in ("JB", "IJB", "AJB", "IJ", "AB")}
 
 
 def reference_outcome(row_trail, col_trail):
-    """The variant, or the exception class, implied by the rational geometry."""
+    """The (variant, configuration) pair, or the exception class, implied by the rational geometry."""
     row_boxes, col_boxes = row_trail.boxes, col_trail.boxes
     shared = [bx for bx in row_boxes if bx in col_boxes]
     if len(shared) > 1:
@@ -110,13 +111,13 @@ def reference_outcome(row_trail, col_trail):
     if meetings is None or meetings - allowed:
         return WeakIntersectionDetected
     if not shared:
-        return "disjoint"
+        return "disjoint", None
     (r0, c0), ri, ci = shared[0], row_boxes.index(shared[0]), col_boxes.index(shared[0])
     row_final, col_final = ri == len(row_boxes) - 1, ci == len(col_boxes) - 1
     if row_final != col_final:
         return MultipleSharedBoxes
     if row_final:
-        return "shared_empty_box"
+        return "shared_empty_box", None
     neighbors = (
         ("A", col_boxes, ci - 1, (r0, c0 - 1)),
         ("B", col_boxes, ci + 1, (r0, c0 + 1)),
@@ -124,7 +125,8 @@ def reference_outcome(row_trail, col_trail):
         ("J", row_boxes, ri + 1, (r0 + 1, c0)),
     )
     adjacency = frozenset(name for name, boxes, k, box in neighbors if k >= 0 and boxes[k] == box)
-    return "strong" if adjacency in POSSIBLE_ADJACENCIES else ImpossibleConfiguration
+    configuration = POSSIBLE_ADJACENCIES.get(adjacency)
+    return ("strong", configuration) if configuration else ImpossibleConfiguration
 
 
 def band_trails(kind, width=4, max_steps=4):
@@ -251,14 +253,16 @@ class TestClassification:
             for col_trail in col_trails:
                 expected = reference_outcome(row_trail, col_trail)
                 try:
-                    actual = classify_intersection(row_trail, col_trail, 0, 100).variant
+                    report = classify_intersection(row_trail, col_trail, 0, 100)
+                    actual = report.variant, report.configuration
                 except (MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration) as err:
                     actual = type(err)
                 assert actual == expected, (row_trail, col_trail)
                 seen.add(expected)
-        # The pairs reach every outcome, so none of the checks is vacuous.
+        # The pairs reach every outcome and every configuration, so none of the checks is vacuous.
         assert seen == {
-            "disjoint", "shared_empty_box", "strong",
+            ("disjoint", None), ("shared_empty_box", None),
+            *(("strong", name) for name in POSSIBLE_ADJACENCIES.values()),
             MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration,
         }
 
