@@ -11,6 +11,7 @@ and 3h + 1 in two) gives every order type of (T, x, y), each once.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import cycle, groupby, repeat
 from operator import itemgetter
@@ -19,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional, get_args
 from .fused import CommutationReport, commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
 # span tracer's tests look it up.
-from .insertion import InvariantViolation, XAlreadyPresent, _bump, row_insert
+from .insertion import XAlreadyPresent, _bump, row_insert
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
@@ -267,23 +268,31 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
 def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     """Insertion tableau P and recording tableau Q of a word of distinct labels.
 
-    Raises InvariantViolation when Q does not grow with the shape of P.
+    Schensted's bumping, one row at a time: row k takes, in order, the labels
+    that row k - 1 bumped out, each carrying the step number of the letter
+    whose bump it continues.  A label appended to row k ends that bump, so its
+    step number goes to row k of Q.  P and Q are validated once each.
     """
     if len(set(word)) != len(word):
         raise DuplicateInWord(f"word {word} has repeated labels")
-    rows: list[list[Label]] = []
-    q_rows: list[list[int]] = []
-    for step_index, v in enumerate(word, 1):
+    for v in word:
         if type(v) is not int or v < 0:
             check_label(v)  # before bisecting, which would compare mixed types
-        r = len(_bump(rows, v)[0]) - 1  # the row of the created box: one column per row
-        if r == len(q_rows):
-            q_rows.append([])
-        elif r > len(q_rows):
-            raise InvariantViolation(f"bumping {v} created a box in row {r}, past row {len(q_rows)}")
-        q_rows[r].append(step_index)
-    p, q = Tableau(tuple(map(tuple, rows))), Tableau(tuple(map(tuple, q_rows)))  # each validated once
-    if p.shape != q.shape:
-        raise InvariantViolation(f"P has shape {p.shape}, Q has shape {q.shape}")
-    return p, q
-
+    p_rows, q_rows = [], []
+    letters, steps = word, range(1, len(word) + 1)
+    while letters:
+        # Row k of P and of Q grow in one branch, so Q has P's shape: no check of it is needed.
+        row, q_row, bumped, bumped_steps = [], [], [], []
+        for v, step in zip(letters, steps):
+            c = bisect_left(row, v)
+            if c == len(row):
+                row.append(v)
+                q_row.append(step)
+            else:
+                bumped.append(row[c])
+                bumped_steps.append(step)
+                row[c] = v
+        p_rows.append(row)
+        q_rows.append(q_row)
+        letters, steps = bumped, bumped_steps
+    return Tableau(p_rows), Tableau(q_rows)

@@ -73,19 +73,24 @@ def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share 
             raise ShapeNotFerrers(f"row {r} is empty", (r, 0))
         if r > 0 and len(row) > len(rows[r - 1]):
             raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, len(rows[r - 1])))
-    seen: dict[Label, BoxCoord] = {}
+    row_of: dict[Label, int] = {}  # each label's row; its column is looked up only to report it
+    below: tuple[Label, ...] = ()
     for r, row in enumerate(rows):
+        left = -1  # below every natural: column 0 has no left neighbour
         for c, v in enumerate(row):
-            # check_label, inlined: a call per cell would slow validation by a third
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            # check_label, inlined (a call per cell costs a third); an exact int skips isinstance
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < 0:
                 raise TableauError(f"label {v!r} at {(r, c)} is not a natural", (r, c))
-            if c > 0 and row[c - 1] >= v:
+            if left >= v:
                 raise RowNotIncreasing(f"row {r} not strictly increasing at column {c}", (r, c))
-            if r > 0 and rows[r - 1][c] >= v:
+            if r and below[c] >= v:
                 raise ColumnNotIncreasing(f"column {c} not strictly increasing at row {r}", (r, c))
-            if v in seen:
-                raise DuplicateLabel(f"label {v} appears at {seen[v]} and {(r, c)}", (r, c))
-            seen[v] = (r, c)
+            if v in row_of:
+                first = (row_of[v], rows[row_of[v]].index(v))
+                raise DuplicateLabel(f"label {v} appears at {first} and {(r, c)}", (r, c))
+            row_of[v] = r
+            left = v
+        below = row
 
 
 def _check_writes(

@@ -11,8 +11,7 @@ import pytest
 
 from schensted import (
     DuplicateInWord,
-    InvariantViolation,
-    RowNotIncreasing,
+    ColumnNotIncreasing,
     SweepFailure,
     Tableau,
     TableauError,
@@ -26,7 +25,6 @@ from schensted import (
 from schensted import fused, harness, insertion, tableau
 from schensted.harness import CaseDescriptor, SweepSummary, check_case
 from schensted.harness import check_report
-from schensted.insertion import _bump
 
 from conftest import INVOLUTION_NUMBERS, WORKED_ROWS, WORKED_X, WORKED_Y, random_words
 from conftest import reversal_check
@@ -37,31 +35,6 @@ def row_insert_reversing_row_0(t, x):
     result, trail = row_insert(t, x)
     first, *rest = result.rows
     return Tableau._trusted((first[::-1], *rest)), trail
-
-
-def bump_reversing_row_0(rows, x, by_column=False):
-    """A planted fault: a bump that leaves the first row of the row list decreasing."""
-    steps = _bump(rows, x, by_column)
-    rows[0] = rows[0][::-1]
-    return steps
-
-
-def bump_reporting_the_box_rows_up_at(step, rows_up=1):
-    """A planted fault: a row bump whose ``step``-th call reports its created box ``rows_up`` rows up.
-
-    A row bump records one column per row, so the created box moves ``rows_up`` rows by
-    recording its column ``rows_up`` more times.
-    """
-    calls = []
-
-    def bump(rows, x, by_column=False):
-        cols, labels = _bump(rows, x, by_column)
-        calls.append(x)
-        if len(calls) == step:
-            cols += [cols[-1]] * rows_up
-        return cols, labels
-
-    return bump
 
 
 def brute_force_involution_count(n):
@@ -419,10 +392,14 @@ def patience_piles(word):
 
 
 class TestRsk:
-    def test_insertion_tableau_validated_once_per_word(self, monkeypatch):
-        monkeypatch.setattr(harness, "_bump", bump_reversing_row_0)
-        with pytest.raises(RowNotIncreasing):
-            rsk([1, 2])  # P = ((2, 1),); the recording tableau Q = ((1, 2),) is valid
+    def test_p_and_q_each_validated_once_per_word(self, monkeypatch):
+        calls = []
+        original = tableau._validate
+        monkeypatch.setattr(tableau, "_validate", lambda rows: calls.append(rows) or original(rows))
+        for word in ([], [3, 1, 2], [5, 2, 7, 1, 3, 8, 6, 4]):
+            calls.clear()
+            p, q = rsk(word)
+            assert calls == [p.rows, q.rows]
 
     def test_empty_word(self):
         assert rsk([]) == (Tableau(), Tableau())
@@ -446,21 +423,12 @@ class TestRsk:
         with pytest.raises(TableauError):
             rsk(word)
 
-    def test_recording_tableau_validated(self, monkeypatch):
-        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(3))
-        with pytest.raises(TableauError):
-            rsk([2, 1, 3])  # Q = ((1,), (2, 3)): the third box is reported at (1, 1), not (0, 1)
-
-    def test_recording_shape_compared_with_insertion_shape(self, monkeypatch):
-        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(2))
-        with pytest.raises(InvariantViolation):
-            rsk([1, 2])  # P = ((1, 2),), and the valid Q = ((1,), (2,)) has another shape
-
-    @pytest.mark.parametrize("word", [[1], [1, 2], [2, 1]])
-    def test_box_past_the_last_row_rejected(self, word, monkeypatch):
-        monkeypatch.setattr(harness, "_bump", bump_reporting_the_box_rows_up_at(len(word), rows_up=2))
-        with pytest.raises(InvariantViolation):
-            rsk(word)
+    def test_insertion_tableau_validated(self, monkeypatch):
+        # A planted fault: every letter bisects to column 0, so 2 bumps 1 up into row 1.
+        monkeypatch.setattr(harness, "bisect_left", lambda row, v: 0)
+        with pytest.raises(ColumnNotIncreasing) as exc:
+            rsk([1, 2])  # P = ((2,), (1,)); the recording tableau Q = ((1,), (2,)) is valid
+        assert exc.value.box == (1, 0)
 
     @pytest.mark.parametrize(
         "words",

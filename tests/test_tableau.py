@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import pickle
 import weakref
 
@@ -58,13 +59,31 @@ class TestConstruction:
             Tableau([[2, 3], [1, 4]])
         assert exc.value.box == (1, 0)
 
-    def test_duplicate_label(self):
-        with pytest.raises(DuplicateLabel):
-            Tableau([[1, 2], [2]])
+    @pytest.mark.parametrize(
+        "rows,first,box",
+        [([[1, 2], [2]], (0, 1), (1, 0)), ([[1, 5], [3, 6], [5]], (0, 1), (2, 0))],
+        ids=["adjacent-rows", "two-rows-apart"],
+    )
+    def test_duplicate_label(self, rows, first, box):
+        with pytest.raises(DuplicateLabel) as exc:
+            Tableau(rows)
+        assert str(exc.value) == f"label {rows[box[0]][box[1]]} appears at {first} and {box}"
+        assert exc.value.box == box
 
-    def test_negative_label_rejected(self):
-        with pytest.raises(TableauError):
-            Tableau([[-1, 2]])
+    @pytest.mark.parametrize("bad", [True, 1.5, "a", -1], ids=repr)
+    @pytest.mark.parametrize("box", [(0, 0), (0, 2), (1, 1)])
+    def test_non_natural_label_rejected_at_its_box(self, bad, box):
+        rows = [[1, 3, 5], [2, 4]]
+        rows[box[0]][box[1]] = bad
+        with pytest.raises(TableauError) as exc:
+            Tableau(rows)
+        assert type(exc.value) is TableauError and exc.value.box == box
+        assert str(exc.value) == f"label {bad!r} at {box} is not a natural"
+
+    def test_int_subclass_label_accepted(self):
+        Label = enum.IntEnum("Label", "ONE TWO THREE")
+        t = Tableau([[Label.ONE, 3], [Label.TWO]])
+        assert t.rows == ((1, 3), (2,)) and type(t.rows[0][0]) is Label
 
     def test_list_rows_are_stored_as_tuples(self):
         # Insertion results share the rows they do not write, so a row must not be a list.
