@@ -130,10 +130,10 @@ def check_modify_property(row: tuple[Label, ...], x: Label) -> Optional[Label]:
     if x in row:
         raise XAlreadyPresent(f"{x} already present in row")
     # Bumping into a one-row list leaves the tuple row as it is and bumps out at most one label.
-    cols, bumped = _bump([row], x)
+    boxes, bumped = _bump([row], x)
     if not bumped:
         return None
-    p, y = cols[0], bumped[0]
+    p, y = boxes[0][1], bumped[0]
     n = len(row) - p  # y and the labels right of it
     # Exact-size constructors only: building these from generators raised peak memory by
     # about 18 % on 300-cell words.

@@ -5,9 +5,7 @@ activates, ending at the newly created box, and the label each box but the
 created one held *before* the insertion.  The insertion itself can be
 reconstructed from the trail alone: slide every trail label to the next trail
 box and drop the inserted value into the first box (see :func:`slide_trail`).
-Step k of a row trail lies in row k, so the bumping kernel records only the
-column of each row step and the trail's boxes pair it with k; a column step
-records its whole box.
+Both directions run one bumping loop, which records the box of every step.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ def validate_trail(trail: Trail) -> None:
 
 def _bump(
     rows: list[list[Label] | tuple[Label, ...]], x: Label, by_column: bool = False
-) -> tuple[list[int] | list[BoxCoord], list[Label]]:
+) -> tuple[list[BoxCoord], list[Label]]:
     """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
     Row k (column k) swaps the incoming value for its smallest larger entry,
@@ -77,43 +75,32 @@ def _bump(
     last row opening a new one.  Column k is ``rows[r][k]`` for the first
     ``height`` rows: one box per column, no transposing.  Rows are written as
     lists, a tuple row copied on its first write; rows not written stay as they
-    are.  Returns the record of the steps and the labels bumped out of them.
-    A row bump records the column of each step, since step k lies in row k: the
-    created box is in row ``len(record) - 1``.  A column bump records each
-    step's ``(row, col)`` box.
+    are.  Returns the ``(row, col)`` box of each step and the labels bumped out
+    of them.
     """
-    steps, labels = [], []
-    if not by_column:
-        for k, row in enumerate(rows):
-            c = bisect_left(row, x)
-            steps.append(c)
-            if type(row) is tuple:
-                row = rows[k] = list(row)
-            if c == len(row):
-                row.append(x)
-                return steps, labels
-            labels.append(row[c])
-            row[c], x = x, row[c]
-        steps.append(0)
-        rows.append([x])
-        return steps, labels
+    boxes, labels = [], []
     n = height = len(rows)  # n stays the row count until the bump ends
     for k in count():
-        while height and len(rows[height - 1]) <= k:
-            height -= 1  # rows that reach column k
-        r = bisect_left(rows, x, 0, height, key=itemgetter(k))
-        steps.append((r, k))
+        if by_column:
+            while height and len(rows[height - 1]) <= k:
+                height -= 1  # rows that reach column k
+            r, c = bisect_left(rows, x, 0, height, key=itemgetter(k)), k
+        elif k < n:
+            r, c = k, bisect_left(rows[k], x)
+        else:
+            r, c = n, 0
+        boxes.append((r, c))
         if r == n:
             rows.append([x])
-            return steps, labels
+            return boxes, labels
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)
-        if k == len(row):
+        if c == len(row):
             row.append(x)
-            return steps, labels
-        labels.append(row[k])
-        row[k], x = x, row[k]
+            return boxes, labels
+        labels.append(row[c])
+        row[c], x = x, row[c]
 
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
@@ -122,11 +109,9 @@ def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
     if x in index:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
-    steps, labels = _bump(rows, x, by_column=kind == "column")
-    if kind == "row":
-        steps = [*enumerate(steps)]  # step k in row k; a list, so the tuple below is exact-size
+    boxes, labels = _bump(rows, x, by_column=kind == "column")
     result = Tableau._trusted(tuple(map(tuple, rows)), index | {x})
-    return result, Trail(kind, tuple(steps), tuple(labels))
+    return result, Trail(kind, tuple(boxes), tuple(labels))
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:

@@ -210,6 +210,16 @@ def growth_insertion_tableau(word):
     return Tableau(rows)
 
 
+def evacuation(t, big):
+    """Schützenberger's evacuation of ``t``, each label v complemented to ``big`` − v.
+
+    The reading word w of ``t`` has P(w) = t, and the reverse complement w# of w
+    has P(w#) = evac t (Schützenberger 1963; Fulton, Young Tableaux, A.1).  The
+    growth diagram gives that P without bumping.
+    """
+    reading = [v for row in reversed(t.rows) for v in row]
+    return growth_insertion_tableau([big - v for v in reversed(reading)])
+
 class TestIndependentOracles:
     def test_growth_diagram_gives_both_compositions(self):
         # (x→T)←y and x→(T←y) are both P of x·w(T)·y, where the reading word
@@ -243,6 +253,29 @@ class TestIndependentOracles:
                 assert dual.intersection == expected, case
                 assert dual.left == report.right.transpose(), case
                 assert dual.right == report.left.transpose(), case
+
+    def test_evacuation_duality(self):
+        # The case (T, x, y) goes to (evac T, N − y, N − x).  With P(w#) = evac P(w),
+        # T ← y becomes (N − y) → evac T and x → T becomes evac T ← (N − x), so the
+        # image runs the two compositions the other way round.  It also swaps the
+        # disjoint and strong crossings of the trails.
+        image_variant = {
+            "disjoint": "strong", "strong": "disjoint", "shared_empty_box": "shared_empty_box"
+        }
+        for n in range(7):
+            big = 3 * n + 3  # N: the sweep's labels lie in 1..3n + 2
+            evacuated = {}
+            for case in enumerate_cases(n):
+                t = case.tableau
+                if t not in evacuated:
+                    evacuated[t] = evacuation(t, big)
+                    assert evacuation(evacuated[t], big) == t, t
+                report = commute_check(t, case.x, case.y)
+                image = commute_check(evacuated[t], big - case.y, big - case.x)
+                variant = image_variant[report.intersection.variant]
+                assert image.intersection.variant == variant, case
+                assert evacuation(image.left, big) == report.right, case
+                assert evacuation(image.right, big) == report.left, case
 
 
 RECORDS = {  # each record type, read from a fresh analysis of the worked case, and its first field

@@ -78,6 +78,46 @@ class TestColumnInsert:
             column_insert(13, worked)
 
 
+class TestBumpKernel:
+    """The kernel's own record: the ``(row, col)`` box of every step, in both directions."""
+
+    @pytest.mark.parametrize(
+        "x,by_column,boxes,labels",
+        [
+            pytest.param(
+                WORKED_Y,
+                False,
+                [box for box, _ in WORKED_ROW_TRAIL],
+                [label for _, label in WORKED_ROW_TRAIL[:-1]],
+                id="row-opens-a-row",
+            ),
+            pytest.param(20, False, [(0, 6)], [], id="row-appends"),
+            pytest.param(
+                WORKED_X,
+                True,
+                [box for box, _ in WORKED_COL_TRAIL],
+                [label for _, label in WORKED_COL_TRAIL[:-1]],
+                id="column",
+            ),
+            pytest.param(
+                0,
+                True,
+                [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)],
+                [1, 3, 5, 9, 12, 16],
+                id="column-opens-a-column",
+            ),
+            pytest.param(20, True, [(5, 0)], [], id="column-opens-a-row"),
+        ],
+    )
+    def test_records_the_box_of_every_step(self, worked, x, by_column, boxes, labels):
+        rows = list(worked.rows)
+        assert _bump(rows, x, by_column) == (boxes, labels)
+        line = 1 if by_column else 0  # step k lies in column (row) k
+        assert [box[line] for box in boxes] == list(range(len(boxes)))
+        r, c = boxes[-1]
+        assert rows[r][c] == (labels[-1] if labels else x) and len(rows[r]) == c + 1
+
+
 class TestInsertedLabel:
     @pytest.mark.parametrize("x", [-3, True, 2.5, "4", [4]])
     def test_non_natural_rejected(self, worked, x):
