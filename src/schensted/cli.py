@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .fused import commute_check
 from .harness import CaseDescriptor, SweepFailure, SweepSummary, check_report, rsk, run_sweep
@@ -85,6 +86,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     workers = min(args.workers, os.cpu_count() or 1)  # more processes than cores only wait
+    start = time.perf_counter()
     try:
         summary = run_sweep(args.max_n, workers=workers)
     except SweepFailure as err:
@@ -96,6 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"checked {summary.cases_total} cases up to n={args.max_n}")
     for line in summary.records():
         print(line)
+    print(f"elapsed_seconds={time.perf_counter() - start:.3f}", file=sys.stderr)  # stdout is the record alone
     return 0
 
 

@@ -112,8 +112,8 @@ def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
     Requires a strong intersection at some box S.  Returns whether the two
     trails agree (boxes and labels) on every row strictly below S's row, and
     strictly above it, and whether the part-II hypothesis holds: their first
-    boxes above the crossing row agree, with the same label.  The hypothesis
-    is expected to always hold; it is reported so a failure would show alone.
+    boxes above the crossing row agree, with the same label.  The second implies
+    it; ``check_report`` tests it first, so that its failure shows alone.
     """
     inter = report.intersection
     if inter.variant != "strong":

@@ -10,7 +10,6 @@ and 3h + 1 in two) gives every order type of (T, x, y), each once.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import cycle, groupby, repeat
@@ -55,8 +54,7 @@ class SweepSummary:
     cases_total: int = 0
     variant_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(get_args(Variant), 0))
     configuration_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CONFIGURATIONS, 0))
-    part_ii_hypothesis_failures: int = 0
-    elapsed: float = 0.0
+    part_ii_hypothesis_failures: int = 0  # never written; perfbench's sweep gate still reads it
 
     def merge(self, other: "SweepSummary") -> None:
         self.cases_total += other.cases_total
@@ -64,7 +62,6 @@ class SweepSummary:
             self.variant_counts[k] += v
         for k, v in other.configuration_counts.items():
             self.configuration_counts[k] += v
-        self.part_ii_hypothesis_failures += other.part_ii_hypothesis_failures
 
     def records(self) -> list[str]:
         """Line-oriented key=value dump, stable for CI diffing."""
@@ -74,8 +71,6 @@ class SweepSummary:
             f"configuration.{k}={v}"
             for k, v in sorted(self.configuration_counts.items())
         ]
-        lines.append(f"part_ii_hypothesis_failures={self.part_ii_hypothesis_failures}")
-        lines.append(f"elapsed_seconds={self.elapsed:.3f}")
         return lines
 
 
@@ -195,7 +190,7 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
         if not below_equal:
             raise SweepFailure(case, "trail_agreement_below")
         if not hypothesis:
-            summary.part_ii_hypothesis_failures += 1
+            raise SweepFailure(case, "part_ii_hypothesis")
         if not above_equal:
             raise SweepFailure(case, "trail_agreement_above")
 
@@ -231,9 +226,9 @@ def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
 def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary:
     """Check every invariant over all cases with tableau size up to max_n.
 
-    Raises SweepFailure on the first violation, else returns the summary, which
-    depends on ``max_n`` alone.  Shard k takes the k-th of ``workers`` contiguous runs of a
-    level's tableaux and shards are read in order, so the failure is the same for any ``workers``.
+    Raises SweepFailure on the first violation, else returns the summary: counts only, which
+    depend on ``max_n`` alone.  Shard k takes the k-th of ``workers`` contiguous runs of a level's
+    tableaux and shards are read in order, so the failure is the same for any ``workers``.
     Raises ValueError for a negative ``max_n`` or fewer than one worker.
     """
     # seed is ignored; it stays only because perfbench/run.py still passes one.
@@ -241,7 +236,6 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    start = time.perf_counter()
     total = SweepSummary()
     if workers == 1:
         for n in range(max_n + 1):
@@ -261,7 +255,6 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
             except BaseException:
                 stop.set()  # every earlier level is merged; shards already running stop
                 raise
-    total.elapsed = time.perf_counter() - start
     return total
 
 

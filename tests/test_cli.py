@@ -1,3 +1,4 @@
+import re
 import types
 
 import pytest
@@ -259,6 +260,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "checked 112 cases up to n=3"
         assert "cases_total=112" in out
+
+    def test_stdout_is_the_same_at_any_worker_count(self, capsys, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)  # so that --workers 2 is not clamped to 1
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["verify", "--max-n", "3", "--workers", workers]) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(r"elapsed_seconds=\d+\.\d{3}\n", captured.err)
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] and "elapsed_seconds=" not in outputs[0]
 
     def test_failure_prints_a_reproducer_that_fails(self, capsys, monkeypatch):
         import io
