@@ -53,13 +53,13 @@ def cmd_insert(args: argparse.Namespace) -> int:
 def cmd_commute(args: argparse.Namespace) -> int:
     t = _read_tableau(args)
     report = commute_check(t, args.x, args.y)
+    fields = [f"{k}={v}" for k, v in report.intersection._asdict().items() if v is not None]
     if args.porcelain:
         for name, tab in (("left", report.left), ("right", report.right), ("fused", report.fused)):
             for r, row in enumerate(tab.rows):
                 print(f"{name}.row{r}={' '.join(str(v) for v in row)}")
-        for key, value in report.intersection._asdict().items():  # the variant first
-            if value is not None:
-                print(f"intersection.{key}={value}")
+        for field in fields:  # the variant first
+            print(f"intersection.{field}")
         print(f"all_equal={str(report.all_equal).lower()}")
     else:
         names = (f"(x->T)<-y with x={args.x}, y={args.y}", "x->(T<-y)", "fused")
@@ -74,7 +74,7 @@ def cmd_commute(args: argparse.Namespace) -> int:
         for line in body:
             print("   ".join(line).rstrip())
         print()
-        print(f"intersection: {report.intersection.summary()}")
+        print(f"intersection: {', '.join(fields)}")
         print("EQUAL" if report.all_equal else "UNEQUAL")
     try:  # the sweep's other checks too, so that verify's reproducer fails where verify did
         check_report(CaseDescriptor(t, args.x, args.y), report, SweepSummary())

@@ -83,15 +83,22 @@ def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
     Each of the four insertions runs once and the trails are classified once;
     the report keeps both trails of T, the single insertions, and the row
     trail of (x→T)←y.  ``left`` and ``right`` share no code with the fused slide.
+    The first two insertions check x and y; any error raised after them is the
+    analysis's own and leaves as an ``InvariantViolation``.
     """
     if x == y:
         raise LabelsNotDistinct(f"x and y must differ, got {x}")
     after_col, col_trail = column_insert(x, t)
     after_row, row_trail = row_insert(t, y)
-    left, left_row_trail = row_insert(after_col, y)
-    right, _ = column_insert(x, after_row)
-    intersection = classify_intersection(row_trail, col_trail, x, y)
-    fused = _fused(t, x, y, col_trail, row_trail, intersection)
+    try:
+        left, left_row_trail = row_insert(after_col, y)
+        right, _ = column_insert(x, after_row)
+        intersection = classify_intersection(row_trail, col_trail, x, y)
+        fused = _fused(t, x, y, col_trail, row_trail, intersection)
+    except InvariantViolation:
+        raise
+    except Exception as err:
+        raise InvariantViolation(f"{type(err).__name__}: {err}") from err
     return CommutationReport(
         left=left,
         right=right,
@@ -106,24 +113,25 @@ def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
     )
 
 
-def trail_agreement(report: CommutationReport) -> tuple[bool, bool, bool]:
+def trail_agreement(report: CommutationReport) -> Optional[str]:
     """Compare the row trails of T←y and (x→T)←y around the crossing row.
 
-    Requires a strong intersection at some box S.  Returns whether the two
-    trails agree (boxes and labels) on every row strictly below S's row, and
-    strictly above it, and whether the part-II hypothesis holds: their first
-    boxes above the crossing row agree, with the same label.  The second implies
-    it; ``check_report`` tests it first, so that its failure shows alone.
+    Requires a strong intersection at some box S.  Returns the name of the first
+    part where the two trails differ in boxes or labels, or None when they agree
+    on all three: every row strictly below S's row; the part-II hypothesis, their
+    first box above the crossing row, which the third part implies and which is
+    compared before it so that its failure shows alone; every row strictly above.
     """
     inter = report.intersection
     if inter.variant != "strong":
         raise NotAStrongIntersection(f"intersection is {inter.variant}")
     k = inter.s_box[0]
     before, after = report.row_trail, report.left_row_trail
-
-    def agree(part: slice) -> bool:
-        return before.boxes[part] == after.boxes[part] and before.labels[part] == after.labels[part]
-
-    hypothesis = agree(slice(k + 1, k + 2))  # a created box there agrees only with a created box
-    return agree(slice(k)), agree(slice(k + 1, None)), hypothesis
-
+    for name, part in (
+        ("trail_agreement_below", slice(k)),
+        ("part_ii_hypothesis", slice(k + 1, k + 2)),  # a created box agrees only with a created box
+        ("trail_agreement_above", slice(k + 1, None)),
+    ):
+        if before.boxes[part] != after.boxes[part] or before.labels[part] != after.labels[part]:
+            return name
+    return None

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import cycle, groupby, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, get_args
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar, get_args
 
 from .fused import CommutationReport, commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
@@ -23,6 +23,8 @@ from .insertion import XAlreadyPresent, _bump, row_insert
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
+
+_R = TypeVar("_R")
 
 
 class DuplicateInWord(ValueError):
@@ -39,14 +41,11 @@ class SweepFailure(AssertionError):
     """First failing case of a sweep, with the invariant that broke."""
 
     def __init__(self, case: CaseDescriptor, invariant: str, detail: str = ""):
-        super().__init__(f"{invariant} failed for {case}" + (f": {detail}" if detail else ""))
-        self.case = case
-        self.invariant = invariant
-        self.detail = detail
+        super().__init__(case, invariant, detail)  # a pool worker's failure is pickled by its args
+        self.case, self.invariant, self.detail = case, invariant, detail
 
-    def __reduce__(self):
-        # A failure raised in a pool worker is pickled back to the parent.
-        return (type(self), (self.case, self.invariant, self.detail))
+    def __str__(self) -> str:
+        return f"{self.invariant} failed for {self.case}" + (f": {self.detail}" if self.detail else "")
 
 
 @dataclass
@@ -144,6 +143,14 @@ def check_modify_property(row: tuple[Label, ...], x: Label) -> Optional[Label]:
     return y
 
 
+def _check(case: CaseDescriptor, invariant: str, check: Callable[..., _R], *args) -> _R:
+    """``check(*args)``; if it raises, the case fails under ``invariant``."""
+    try:
+        return check(*args)
+    except Exception as err:
+        raise SweepFailure(case, invariant, str(err)) from err
+
+
 def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None:
     """Analyse the case once with ``commute_check`` and check the report with ``check_report``.
 
@@ -151,21 +158,20 @@ def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None
     check is deterministic: the result depends on the case alone.
     """
     # rng is ignored; it stays only because perfbench/run.py still passes one per case.
-    try:
-        report = commute_check(case.tableau, case.x, case.y)
-    except Exception as err:
-        raise SweepFailure(case, "commutation", str(err)) from err
+    report = _check(case, "commutation", commute_check, case.tableau, case.x, case.y)
     check_report(case, report, summary)
 
 
 def check_report(case: CaseDescriptor, report: CommutationReport, summary: SweepSummary) -> None:
     """Run every per-case invariant on ``report``, the case's ``commute_check``; count the case.
 
-    Raises SweepFailure on the first violation.  Every check reads the trails,
-    insertions and intersection from the report; both lemma checks on S take
-    the report itself.  The insertions build their tableaux unchecked, the
-    fused result and both ``slide_trail`` results are checked where written,
-    and ``left``/``right`` must equal the fused one.
+    Raises SweepFailure on the first violation, named by the check that finds it:
+    a check that raises fails the case under its name, as one that returns false
+    does.  The case is counted only once every check has passed.  Every check
+    reads the trails, insertions and intersection from the report; both lemma
+    checks on S take the report itself.  The insertions build their tableaux
+    unchecked, the fused result and both ``slide_trail`` results are checked
+    where written, and ``left``/``right`` must equal the fused one.
     """
     t, x, y = case.tableau, case.x, case.y
     try:
@@ -177,29 +183,20 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
             raise AssertionError("column slide mismatch")
     except Exception as err:
         raise SweepFailure(case, "trail", str(err)) from err
-
     if not report.all_equal:
         raise SweepFailure(case, "commutation", "left/right/fused disagree")
     inter = report.intersection
+    if inter.variant == "strong":
+        if not _check(case, "relative_position", check_relative_position, report):
+            raise SweepFailure(case, "relative_position")
+        failed = _check(case, "trail_agreement", trail_agreement, report)
+        if failed:  # the first part of the trail-agreement lemma that does not hold
+            raise SweepFailure(case, failed)
+    if t.rows:  # bump stability of the first-row insertion, on both extreme modifications
+        _check(case, "modify_property", check_modify_property, t.rows[0], y)
     summary.variant_counts[inter.variant] += 1
     if inter.variant == "strong":
         summary.configuration_counts[inter.configuration] += 1
-        if not check_relative_position(report):
-            raise SweepFailure(case, "relative_position")
-        below_equal, above_equal, hypothesis = trail_agreement(report)  # the case is strong
-        if not below_equal:
-            raise SweepFailure(case, "trail_agreement_below")
-        if not hypothesis:
-            raise SweepFailure(case, "part_ii_hypothesis")
-        if not above_equal:
-            raise SweepFailure(case, "trail_agreement_above")
-
-    # Bump stability of the first-row insertion, on both extreme modifications.
-    if t.rows:
-        try:
-            check_modify_property(t.rows[0], y)
-        except AssertionError as err:
-            raise SweepFailure(case, "modify_property", str(err)) from err
     summary.cases_total += 1
 
 

@@ -64,18 +64,6 @@ class IntersectionReport(NamedTuple):
     j: Optional[Label] = None
     configuration: Optional[str] = None
 
-    def summary(self) -> str:
-        if self.variant == "disjoint":
-            return "disjoint"
-        if self.variant == "shared_empty_box":
-            return f"shared empty box at {self.s_box} with a={self.a}, i={self.i}"
-        return (
-            f"strong at {self.s_box} with i={self.i}, a={self.a}, s={self.s}, "
-            f"j={self.j if self.j is not None else '∅'}, "
-            f"b={self.b if self.b is not None else '∅'}, "
-            f"configuration {self.configuration}"
-        )
-
 
 def _cross(o: BoxCoord, p: BoxCoord, q: BoxCoord) -> int:
     return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])

@@ -154,8 +154,7 @@ class TestCommuteCommand:
         assert main(["commute", "--x", "7", "--y", "8", "--file", worked_file]) == 0
         out = capsys.readouterr().out
         assert "EQUAL" in out
-        assert "i=10, a=11, s=13, j=18, b=14" in out
-        assert "configuration JB" in out
+        assert "intersection: variant=strong, s_box=(2, 1), s=13, a=11, b=14, i=10, j=18, configuration=JB" in out
 
     @pytest.mark.parametrize("convention", ["french", "english"])
     def test_worked_example_layout(self, convention, worked_file, capsys):
@@ -173,7 +172,7 @@ class TestCommuteCommand:
             "(x->T)<-y with x=7, y=8   x->(T<-y)           fused            ",  # not stripped
             *(rows[::-1] if convention == "french" else rows),
             "",
-            "intersection: strong at (2, 1) with i=10, a=11, s=13, j=18, b=14, configuration JB",
+            "intersection: variant=strong, s_box=(2, 1), s=13, a=11, b=14, i=10, j=18, configuration=JB",
             "EQUAL",
         ]
 
@@ -217,6 +216,24 @@ class TestCommuteCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
         assert main(["commute", "--x", "3", "--y", "3"]) == 2
         assert capsys.readouterr().err == "error: x and y must differ, got 3\n"
+
+    @pytest.mark.parametrize("x,y", [(13, 8), (7, 13)])
+    def test_value_already_in_the_tableau(self, x, y, worked_file, capsys):
+        assert main(["commute", "--x", str(x), "--y", str(y), "--file", worked_file]) == 2
+        assert capsys.readouterr().err == "error: 13 already present in tableau\n"
+
+    @pytest.mark.parametrize("exc", [ValueError, IndexError])
+    def test_an_error_of_the_analysis_exits_1_with_one_line(self, exc, worked_file, capsys, monkeypatch):
+        # x and y are valid here, so the error is the analysis's own, not bad input.
+        from schensted import fused
+
+        def broken(*args):
+            raise exc("planted")
+
+        monkeypatch.setattr(fused, "classify_intersection", broken)
+        assert main(["commute", "--x", "7", "--y", "8", "--file", worked_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invariant violated: InvariantViolation: {exc.__name__}: planted\n"
 
     def test_one_analysis_per_command(self, worked_file, monkeypatch):
         calls = []
@@ -342,6 +359,34 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "EQUAL" in captured.out.splitlines()
         assert captured.err == failure + "\n"
+
+    @pytest.mark.parametrize(
+        "check,invariant",
+        [
+            ("check_relative_position", "relative_position"),
+            ("trail_agreement", "trail_agreement"),
+            ("check_modify_property", "modify_property"),
+        ],
+    )
+    def test_a_check_that_raises_fails_by_name_with_a_reproducer(self, check, invariant, capsys, monkeypatch):
+        import io
+        import shlex
+
+        from schensted import harness
+
+        def planted(*args):
+            raise IndexError("planted")
+
+        monkeypatch.setattr(harness, check, planted)
+        assert main(["verify", "--max-n", "3"]) == 1
+        failure, reproduce = capsys.readouterr().err.splitlines()
+        assert failure.startswith(f"sweep failure: {invariant} failed for ") and failure.endswith(": planted")
+        words = shlex.split(reproduce)
+        assert words[0] == "reproduce:"
+        bar = words.index("|")
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(row + "\n" for row in words[3:bar])))
+        assert main(words[bar + 2 :]) == 1
+        assert capsys.readouterr().err == failure + "\n"
 
     @pytest.mark.parametrize("requested,cpus,used", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
     def test_workers_clamped_to_cpu_count(self, requested, cpus, used, monkeypatch):

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from concurrent import futures
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +47,25 @@ def brute_force_involution_count(n):
     return count
 
 
+FRONTIER = Path(__file__).resolve().parent.parent / "frontier"
+
+
+def assert_dual_counts_agree(records):
+    """disjoint = strong (evacuation duality), AB = IJ and AJB = IJB (transpose duality)."""
+    counts = dict(line.split("=") for line in records if not line.startswith("checked "))  # verify's header
+    for one, other in (
+        ("variant.disjoint", "variant.strong"),
+        ("configuration.AB", "configuration.IJ"),
+        ("configuration.AJB", "configuration.IJB"),
+    ):
+        assert counts[one] == counts[other], (one, other, counts)
+
+
 class TestEnumerateSyt:
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(enumerate_syt(-1))
+
     @pytest.mark.parametrize("n,count", list(enumerate(INVOLUTION_NUMBERS[:9])))
     def test_counts_match_frozen_sequence(self, n, count):
         assert sum(1 for _ in enumerate_syt(n)) == count
@@ -171,6 +190,15 @@ class TestRunSweep:
                     assert part.cases_total % ((n + 1) * (n + 2)) == 0, (n, shard, num_shards)
                     merged.merge(part)
                 assert merged == whole, (n, num_shards)
+
+    # The per-case duality tests in test_fused.py explain these equalities, so they may be asserted.
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_level_counts_dual_cases_alike(self, n):
+        assert_dual_counts_agree(harness._sweep_level(n).records())
+
+    @pytest.mark.parametrize("max_n", [9, 10, 11])
+    def test_the_frozen_frontier_counts_dual_cases_alike(self, max_n):
+        assert_dual_counts_agree((FRONTIER / f"verify-n{max_n}.txt").read_text().splitlines())
 
     @pytest.mark.parametrize("max_n,workers", [(-1, 1), (2, 0), (2, -2)])
     def test_bad_arguments_rejected(self, max_n, workers):
@@ -309,6 +337,7 @@ class TestCheckReport:
             check_report(self.CASE, tamper(report), summary)
         assert exc.value.invariant == invariant and exc.value.case == self.CASE
         assert summary.cases_total == 0
+        assert summary == SweepSummary()  # a failed case is not counted
 
 
 class TestSweepFailure:
