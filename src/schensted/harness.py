@@ -265,19 +265,21 @@ def rsk(word: list[Label]) -> tuple[Tableau, Tableau]:
     """
     if len(set(word)) != len(word):
         raise DuplicateInWord(f"word {word} has repeated labels")
-    for v in word:
-        if type(v) is not int or v < 0:
+    if set(map(type, word)) != {int} or min(word) < 0:  # one pass in C for the usual word
+        for v in word:
             check_label(v)  # before bisecting, which would compare mixed types
     p_rows, q_rows = [], []
     letters, steps = word, range(1, len(word) + 1)
     while letters:
         # Row k of P and of Q grow in one branch, so Q has P's shape: no check of it is needed.
         row, q_row, bumped, bumped_steps = [], [], [], []
+        width = 0  # len(row), counted rather than asked for once per letter
         for v, step in zip(letters, steps):
             c = bisect_left(row, v)
-            if c == len(row):
+            if c == width:
                 row.append(v)
                 q_row.append(step)
+                width += 1
             else:
                 bumped.append(row[c])
                 bumped_steps.append(step)

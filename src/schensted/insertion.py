@@ -110,7 +110,9 @@ def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
-    result = Tableau._trusted(tuple(map(tuple, rows)), index | {x})
+    for r, _ in boxes:  # the rows the bump wrote; tuple() returns a row already turned back
+        rows[r] = tuple(rows[r])
+    result = Tableau._trusted(tuple(rows), index | {x})
     return result, Trail(kind, tuple(boxes), tuple(labels))
 
 
@@ -140,9 +142,10 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInconsistentWithTableau("every box but the created one must carry a label")
-    for box, label in zip(boxes, labels):
-        if t.get(box) != label:  # None outside the shape, and no label is None
-            raise TrailInconsistentWithTableau(f"box {box} does not hold label {label}")
+    rows = t.rows
+    for (r, c), label in zip(boxes, labels):  # Tableau.get inlined: a negative index would wrap
+        if not (0 <= r < len(rows) and 0 <= c < len(rows[r])) or rows[r][c] != label:
+            raise TrailInconsistentWithTableau(f"box {(r, c)} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
 
 
@@ -152,17 +155,23 @@ def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Lab
 
 
 def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) -> Tableau:
-    """Write each ``(box, label)`` into a copy of ``t`` in (row, col) order, leaving no gap.
+    """Write each ``(box, label)`` into a copy of ``t`` in the order given, leaving no gap.
 
-    A later placement to the same box wins; only what the writes can break is checked,
-    each label by ``check_label`` before ``_check_writes`` hashes or compares it.
-    Only the rows written are copied: the result shares every other row with ``t``.
+    Boxes are written in the order of their first placement, each with its last label.
+    A new box named before its left neighbour leaves a gap.  No caller needs a sort: a
+    trail has one new box, its last; the fused slide's two created boxes lie in different
+    rows or are one box S, and in the shared-empty case B or J is named after S.
+    Only what the writes can break is checked, each label by ``check_label`` before
+    ``_check_writes`` hashes or compares it.  Only the rows written are copied, and only
+    they are turned back into tuples: the result shares every other row with ``t``.
     """
     rows = list(t.rows)
-    written = sorted(dict(placements).items(), key=itemgetter(0))
-    for (r, c), label in written:
+    written = dict(placements)
+    copied = []
+    for (r, c), label in written.items():
         if r == len(rows) and c == 0:
             rows.append([])
+            copied.append(r)
         if not (0 <= r < len(rows) and 0 <= c <= len(rows[r])):
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
         if type(label) is not int or label < 0:
@@ -170,9 +179,12 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)
+            copied.append(r)
         if c < len(row):
             row[c] = label
         else:
             row.append(label)
     _check_writes(t, rows, written)
-    return Tableau._trusted(tuple(map(tuple, rows)))
+    for r in copied:
+        rows[r] = tuple(rows[r])
+    return Tableau._trusted(tuple(rows))

@@ -93,10 +93,8 @@ def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share 
         below = row
 
 
-def _check_writes(
-    t: "Tableau", rows: list[list[Label]], written: list[tuple[BoxCoord, Label]]
-) -> None:
-    """Check ``rows``: the valid ``t`` with each box of ``written`` set once, rows grown to fit.
+def _check_writes(t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord, Label]) -> None:
+    """Check ``rows``: the valid ``t`` with each box of ``written`` set, rows grown to fit.
 
     Every written label is a natural (the caller ran ``check_label``).  ``rows``
     is a tableau exactly when each written box is ordered against its left,
@@ -111,17 +109,21 @@ def _check_writes(
     """
     old, height = t.rows, len(rows)
     labels, overwritten = set(), set()
-    for (r, c), v in written:
+    for (r, c), v in written.items():
         labels.add(v)
-        if r < len(old) and c < len(old[r]):
-            overwritten.add(old[r][c])
+        if r < len(old) and c < len(old_row := old[r]):
+            overwritten.add(old_row[c])
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
             raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
-        if r and c >= len(rows[r - 1]):
-            raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
+        lower = -1  # below every natural: row 0 has no lower neighbour
+        if r:
+            below = rows[r - 1]
+            if c >= len(below):
+                raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
+            lower = below[c]
         above = rows[r + 1] if r + 1 < height else ()
-        if r and rows[r - 1][c] >= v or c < len(above) and v >= above[c]:
+        if lower >= v or c < len(above) and v >= above[c]:
             raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
     if len(labels) != len(written):
         raise DuplicateLabel("a label is written twice")

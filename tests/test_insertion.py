@@ -147,14 +147,27 @@ class TestApplyPlacements:
     @pytest.mark.parametrize(
         "placements,rows",
         [
-            ([((0, 3), 6), ((0, 2), 5)], [[1, 3, 5, 6], [2]]),
+            ([((0, 2), 5), ((0, 3), 6)], [[1, 3, 5, 6], [2]]),
             ([((2, 0), 6), ((1, 1), 5)], [[1, 3], [2, 5], [6]]),
-            ([((2, 1), 7), ((2, 0), 6), ((1, 1), 5)], [[1, 3], [2, 5], [6, 7]]),
+            ([((2, 0), 6), ((2, 1), 7), ((1, 1), 5)], [[1, 3], [2, 5], [6, 7]]),
         ],
     )
-    def test_new_boxes_in_any_order(self, placements, rows):
+    def test_new_boxes_after_their_left_neighbours(self, placements, rows):
         t = Tableau([[1, 3], [2]])
         assert _apply_placements(t, placements) == Tableau(rows)
+
+    @pytest.mark.parametrize(
+        "placements,box",
+        [
+            ([((0, 3), 6), ((0, 2), 5)], (0, 3)),
+            ([((2, 1), 7), ((2, 0), 6), ((1, 1), 5)], (2, 1)),
+            ([((1, 1), 5), ((2, 0), 6), ((0, 3), 7), ((0, 2), 4)], (0, 3)),
+        ],
+    )
+    def test_a_new_box_before_its_left_neighbour_leaves_a_gap(self, placements, box):
+        with pytest.raises(TableauError) as exc:
+            _apply_placements(Tableau([[1, 3], [2]]), placements)
+        assert exc.value.box == box
 
     @pytest.mark.parametrize("n", range(6))
     def test_placement_order_does_not_matter(self, n):
@@ -324,6 +337,13 @@ class TestSlideTrail:
             with pytest.raises(TrailInconsistentWithTableau):
                 slide_trail(Tableau([[1]]), trail, 0)
 
+    def test_negative_box_does_not_wrap_onto_a_label(self):
+        # Python's index -1 reads label 3, which the trail names, so only the
+        # bounds check keeps this a trail fault rather than a gap in the placements.
+        trail = Trail("row", ((0, -1), (1, 0)), (3,))
+        with pytest.raises(TrailInconsistentWithTableau):
+            slide_trail(Tableau([[1, 3]]), trail, 0)
+
     def test_inserted_value_already_present(self, worked):
         _, trail = row_insert(worked, WORKED_Y)
         with pytest.raises(XAlreadyPresent):
@@ -476,6 +496,16 @@ class TestRowsNotShared:
                 assert t.rows is rows and rows_copy(t) == before
                 assert all(type(row) is tuple for row in result.rows)
                 written = {r for (r, _), _ in placements}
+                for r, row in enumerate(rows):
+                    assert (result.rows[r] is row) == (r not in written), (r, written)
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_insertions_copy_only_the_rows_they_write(self, pairs):
+        for t, x, y in pairs():
+            rows = t.rows
+            for result, trail in (row_insert(t, y), column_insert(x, t)):
+                assert all(type(row) is tuple for row in result.rows)
+                written = {r for r, _ in trail.boxes}
                 for r, row in enumerate(rows):
                     assert (result.rows[r] is row) == (r not in written), (r, written)
 
