@@ -105,14 +105,14 @@ def _bump(
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
     check_label(x)
-    index = t.labels
-    if x in index:
+    base, added = t._index()
+    if x in base or x in added:
         raise XAlreadyPresent(f"{x} already present in tableau")
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
     for r, _ in boxes:  # the rows the bump wrote; tuple() returns a row already turned back
         rows[r] = tuple(rows[r])
-    result = Tableau._trusted(tuple(rows), index | {x})
+    result = Tableau._trusted(tuple(rows), (base, added + (x,)))
     return result, Trail(kind, tuple(boxes), tuple(labels))
 
 
@@ -167,7 +167,7 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     """
     rows = list(t.rows)
     written = dict(placements)
-    copied = []
+    copied, overwritten = [], []
     for (r, c), label in written.items():
         if r == len(rows) and c == 0:
             rows.append([])
@@ -180,11 +180,12 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
         if type(row) is tuple:
             row = rows[r] = list(row)
             copied.append(r)
-        if c < len(row):
+        if c < len(row):  # a box of t: each box is written once, so it still holds t's label
+            overwritten.append(row[c])
             row[c] = label
         else:
             row.append(label)
-    _check_writes(t, rows, written)
+    _check_writes(t, rows, written, overwritten)
     for r in copied:
         rows[r] = tuple(rows[r])
     return Tableau._trusted(tuple(rows))

@@ -17,11 +17,13 @@ the step under test:
 Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 
-``Tableau.labels``, the frozenset of labels that ``v in t`` and the placement
-check read, is given at construction by ``row_insert`` and ``column_insert``
-(their parent's index plus the inserted value); every other tableau forms it
-from its rows on first read and caches it.  It is not a field: ``==``,
-``hash`` and ``repr`` read the rows alone.
+``Tableau.labels`` is the frozenset of a tableau's labels; the placement check
+reads it.  A result of ``row_insert`` or ``column_insert`` is not given one: it
+keeps the formed index of its nearest formed ancestor and the tuple of labels
+inserted since, which answer ``v in t``, and forms its own from those two with
+one union only when ``labels`` is read.  Every other tableau forms its index
+from its rows on first read.  Neither is a field: ``==``, ``hash`` and ``repr``
+read the rows alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ Label = int
 BoxCoord = tuple[int, int]  # (row, col), both 0-based
 Shape = tuple[int, ...]
 Rows = tuple[tuple[Label, ...], ...]
+Index = tuple[frozenset[Label], tuple[Label, ...]]  # a formed label index, the labels added since
 
 
 class TableauError(ValueError):
@@ -93,10 +96,13 @@ def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share 
         below = row
 
 
-def _check_writes(t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord, Label]) -> None:
+def _check_writes(
+    t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord, Label], overwritten: list[Label]
+) -> None:
     """Check ``rows``: the valid ``t`` with each box of ``written`` set, rows grown to fit.
 
-    Every written label is a natural (the caller ran ``check_label``).  ``rows``
+    Every written label is a natural (the caller ran ``check_label``), and
+    ``overwritten`` holds the old label of each written box inside ``t``.  ``rows``
     is a tableau exactly when each written box is ordered against its left,
     right, lower and upper neighbours and, above row 0, has a lower neighbour,
     and the written labels are distinct, those new to ``t`` (not the old label
@@ -107,12 +113,8 @@ def _check_writes(t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord,
     box's label in ``t``, so, ``t``'s labels being distinct, no overwritten
     box's old label: it is new.
     """
-    old, height = t.rows, len(rows)
-    labels, overwritten = set(), set()
+    height = len(rows)
     for (r, c), v in written.items():
-        labels.add(v)
-        if r < len(old) and c < len(old_row := old[r]):
-            overwritten.add(old_row[c])
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
             raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
@@ -125,9 +127,10 @@ def _check_writes(t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord,
         above = rows[r + 1] if r + 1 < height else ()
         if lower >= v or c < len(above) and v >= above[c]:
             raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
+    labels = set(written.values())
     if len(labels) != len(written):
         raise DuplicateLabel("a label is written twice")
-    new = labels - overwritten
+    new = labels.difference(overwritten)
     if not new.isdisjoint(t.labels):
         raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
 
@@ -143,19 +146,28 @@ class Tableau:
         _validate(self.rows)
 
     @classmethod
-    def _trusted(cls, rows: Rows, labels: Optional[frozenset[Label]] = None) -> "Tableau":
-        """Wrap valid rows without ``_validate``; ``labels``, when given, is their label index."""
+    def _trusted(cls, rows: Rows, index: Optional[Index] = None) -> "Tableau":
+        """Wrap valid rows without ``_validate``; ``index``, when given, holds their labels."""
         t = object.__new__(cls)
         state = t.__dict__  # written directly: the dataclass is frozen
         state["rows"] = rows
-        if labels is not None:
-            state["labels"] = labels  # shadows the cached_property: no first-read lock
+        if index is not None:
+            state["_index_parts"] = index
         return t
+
+    def _index(self) -> Index:
+        """Every label: the nearest formed index and the labels inserted since."""
+        return self.__dict__.get("_index_parts") or (self.labels, ())
 
     @cached_property
     def labels(self) -> frozenset[Label]:
         """Every label of the tableau."""
-        return frozenset(chain.from_iterable(self.rows))
+        index = self.__dict__.get("_index_parts")
+        if index is None:
+            return frozenset(chain.from_iterable(self.rows))
+        labels = index[0].union(index[1])
+        self.__dict__["_index_parts"] = labels, ()  # the nearest formed index of its results
+        return labels
 
     @property
     def shape(self) -> Shape:
@@ -170,7 +182,8 @@ class Tableau:
         )
 
     def __contains__(self, v: Label) -> bool:
-        return v in self.labels
+        base, added = self._index()
+        return v in base or v in added
 
     def get(self, box: BoxCoord) -> Optional[Label]:
         """Label at ``box``, or ``None`` when the box lies outside the shape."""

@@ -241,32 +241,37 @@ class TestCheckCase:
         assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
 
     def test_one_label_index_per_tableau(self, worked, monkeypatch):
-        # Only the case's tableau builds its label index from its rows, once.  The four
-        # insertions x→T, T←y, left and right are each given theirs as they are made.
+        # Only the case's tableau forms a label index, from its rows, once.  The four
+        # insertions x→T, T←y, left and right form none: each keeps T's index and the
+        # labels inserted since, in the order they were inserted.
         values = [0, WORKED_X, WORKED_Y, 20, 21]  # a value in every gap of the labels 1..19
         assert not any(v in row for row in WORKED_ROWS for v in values)
-        formed = []  # every tableau that built its index from its rows
+        formed = []  # every tableau that formed its index
         form = Tableau.labels.func
         monkeypatch.setattr(Tableau.labels, "func", lambda t: formed.append(t) or form(t))
-        made = []  # (insertion result, whether it held its index when made)
+        made = []  # every insertion result
         insert = insertion._insert
 
         def spy(t, x, kind):
             result, trail = insert(t, x, kind)
-            made.append((result, "labels" in vars(result)))
+            made.append(result)
             return result, trail
 
         monkeypatch.setattr(insertion, "_insert", spy)
         reports = []
         analyse = harness.commute_check
         monkeypatch.setattr(harness, "commute_check", lambda *args: reports.append(analyse(*args)) or reports[-1])
-        for x, y in permutations(values, 2):
+        pairs = list(permutations(values, 2))
+        for x, y in pairs:
             check_case(CaseDescriptor(worked, x, y), None, SweepSummary())
         assert len(formed) == 1 and formed[0] is worked
         inserted = {id(t) for r in reports for t in (r.after_col, r.after_row, r.left, r.right)}
-        assert {id(t) for t, _ in made} == inserted and len(made) == 4 * len(reports) == 80
-        assert all(given for _, given in made)
-        assert not [t for t in formed if id(t) in inserted]
+        assert {id(t) for t in made} == inserted and len(made) == 4 * len(reports) == 80
+        assert not [t for t in made if "labels" in vars(t)]
+        for (x, y), r in zip(pairs, reports):
+            for t, added in ((r.after_col, (x,)), (r.after_row, (y,)), (r.left, (x, y)), (r.right, (y, x))):
+                base, since = vars(t)["_index_parts"]
+                assert base is worked.labels and since == added
 
     def test_three_validations_per_case(self, worked, monkeypatch):
         # The fused result and the two slide_trail reconstructions, each checked

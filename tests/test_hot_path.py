@@ -18,6 +18,9 @@ PER_CASE_PATH = [
     fused,
     trails,
     tableau._check_writes,
+    tableau.Tableau.__contains__,
+    tableau.Tableau._index,
+    tableau.Tableau.labels.func,
     harness.check_case,
     harness.check_report,
     harness.check_modify_property,

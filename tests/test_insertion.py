@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schensted import (
+    DuplicateLabel,
     RowNotIncreasing,
     Tableau,
     TableauError,
@@ -188,6 +189,27 @@ class TestApplyPlacements:
     def test_invalid_order_raises(self):
         with pytest.raises(RowNotIncreasing):
             _apply_placements(Tableau([[1, 3]]), [((0, 2), 2)])
+
+    @pytest.mark.parametrize(
+        "rows,placements,result",
+        [
+            ([[1, 4], [2]], [((0, 1), 3), ((1, 1), 4)], [[1, 3], [2, 4]]),  # to a new box
+            ([[1, 3, 5], [2, 4]], [((0, 2), 4), ((1, 1), 5)], [[1, 3, 4], [2, 5]]),  # two swapped
+        ],
+    )
+    def test_a_label_moved_to_another_box_passes(self, rows, placements, result):
+        assert _apply_placements(Tableau(rows), placements) == Tableau(result)
+
+    def test_the_label_of_a_box_not_written_is_a_duplicate(self):
+        with pytest.raises(DuplicateLabel, match=r"\[3\] are in the tableau"):
+            _apply_placements(Tableau([[1, 2], [3]]), [((0, 2), 3)])
+
+    @pytest.mark.parametrize("first", [5, 4, 3], ids=["another label", "the same label", "its old label"])
+    def test_a_box_named_twice_counts_its_old_label_once(self, first):
+        # Only the last label of (0, 1) is written; its old label 3 counts as overwritten once.
+        t = Tableau([[1, 3], [2]])
+        assert _apply_placements(t, [((0, 1), first), ((0, 1), 4)]) == Tableau([[1, 4], [2]])
+        assert _apply_placements(t, [((0, 1), first), ((0, 1), 3)]) == t
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())

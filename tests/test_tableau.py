@@ -238,7 +238,7 @@ def indexed_tableaux(draw):
         "_apply_placements": _apply_placements(p, _trail_placements(col_trail, x)),
     }
     made["pickled, index not built"] = pickle.loads(pickle.dumps(Tableau._trusted(p.rows)))
-    made["pickled, index given"] = pickle.loads(pickle.dumps(after_row))  # by row_insert
+    made["pickled, index given"] = pickle.loads(pickle.dumps(after_row))  # p's index and y
     made["pickled, index formed"] = pickle.loads(pickle.dumps(p))  # from its rows, read by row_insert
     return made
 
@@ -257,6 +257,37 @@ class TestLabelIndex:
             assert plain == t and hash(plain) == hash(t) and repr(plain) == repr(t), source
             assert "labels" not in vars(plain)  # equality, hash and repr read the rows alone
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_results_of_results_match_a_row_scan(self, data):
+        # A chain of three insertions; each parent that is a result has formed its
+        # index before its child was made, or has not.
+        n = data.draw(st.integers(0, 16))
+        t, _ = rsk(data.draw(st.permutations(range(2, 2 * n + 2, 2))))  # odd values are gaps
+        gaps = st.integers(0, n + 2).map(lambda g: 2 * g + 1)
+        values = data.draw(st.lists(gaps, min_size=3, max_size=3, unique=True))
+        chain = []
+        for depth, x in enumerate(values, 1):
+            parent = t
+            formed = data.draw(st.booleans(), label=f"depth {depth - 1} formed") or not chain
+            if formed:
+                parent.labels  # forms it
+            t, _ = data.draw(st.sampled_from([row_insert, lambda t, x: column_insert(x, t)]))(t, x)
+            if formed:  # the nearest formed index is the parent's own
+                base, added = vars(t)["_index_parts"]
+                assert base is parent.labels and added == (x,)
+            chain.append(t)
+        top = 2 * n + 7
+        for depth, t in enumerate(chain, 1):
+            unformed = "labels" not in vars(t)
+            copies = [t, pickle.loads(pickle.dumps(t))]
+            for copy in copies:
+                for v in [*range(-1, top + 3), True, False, 2.0, "3"]:  # every label and every gap
+                    assert (v in copy) == row_scan(copy, v), (depth, v)
+                assert ("labels" not in vars(copy)) == unformed, depth  # `in` forms no index
+            for copy in copies:
+                assert copy.labels == {v for row in copy.rows for v in row}, depth
+
     def test_a_result_keeps_no_reference_to_its_parent(self):
         parent = Tableau(WORKED_ROWS)
         ref = weakref.ref(parent)
@@ -265,12 +296,25 @@ class TestLabelIndex:
         assert ref() is None
         assert result.labels == {0, *(v for row in WORKED_ROWS for v in row)}
 
+    def test_a_result_of_a_result_keeps_no_reference_to_either_parent(self):
+        parent = Tableau(WORKED_ROWS)
+        middle, _ = column_insert(0, parent)
+        refs = [weakref.ref(parent), weakref.ref(middle)]
+        result, _ = row_insert(middle, 7)
+        del parent, middle
+        assert [ref() for ref in refs] == [None, None]
+        assert result.labels == {0, 7, *(v for row in WORKED_ROWS for v in row)}
+
     def test_a_tableau_replaced_from_a_result_forms_its_own_index(self):
+        # A result answers `in` from the index it was given and forms none of its own.
         # dataclasses.replace builds through the constructor: it validates the new rows
-        # and does not carry over the index a result was given when it was made.
+        # and forms their index from them, carrying over nothing the result was given.
         result, _ = row_insert(Tableau(WORKED_ROWS), 8)
-        assert "labels" in vars(result)
+        assert 8 in result and 19 in result and 7 not in result and 20 not in result
+        assert "labels" not in vars(result)
         made = dataclasses.replace(result, rows=((1, 2), (3,)))
-        assert "labels" not in vars(made) and made.labels == {1, 2, 3}
+        assert vars(made).keys() == {"rows"}
+        assert 3 in made and 8 not in made and 19 not in made
+        assert made.labels == {1, 2, 3}
         with pytest.raises(RowNotIncreasing):
             dataclasses.replace(result, rows=((2, 1),))
