@@ -17,12 +17,13 @@ the step under test:
 Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 
-``Tableau.labels`` is the frozenset of a tableau's labels; the placement check
-reads it.  A result of ``row_insert`` or ``column_insert`` is not given one: it
-keeps the formed index of its nearest formed ancestor and the tuple of labels
-inserted since, which answer ``v in t``, and forms its own from those two with
-one union only when ``labels`` is read.  Every other tableau forms its index
-from its rows on first read.  Neither is a field: ``==``, ``hash`` and ``repr``
+``Tableau.labels`` is the frozenset of a tableau's labels, formed from its
+rows on first read; the placement check reads it.  A result of ``row_insert``
+or ``column_insert`` copies no index: it keeps the index of the tableau its
+chain of insertions started from and the tuple of labels inserted since, and
+``v in t`` reads those two.  ``v in t`` and the next insertion scan that tuple,
+and the next insertion copies it, so both cost one step per insertion chained;
+``check_case`` chains two.  Neither is a field: ``==``, ``hash`` and ``repr``
 read the rows alone.
 """
 
@@ -156,18 +157,13 @@ class Tableau:
         return t
 
     def _index(self) -> Index:
-        """Every label: the nearest formed index and the labels inserted since."""
+        """Every label: the index a chain of insertions started from, the labels inserted since."""
         return self.__dict__.get("_index_parts") or (self.labels, ())
 
     @cached_property
     def labels(self) -> frozenset[Label]:
         """Every label of the tableau."""
-        index = self.__dict__.get("_index_parts")
-        if index is None:
-            return frozenset(chain.from_iterable(self.rows))
-        labels = index[0].union(index[1])
-        self.__dict__["_index_parts"] = labels, ()  # the nearest formed index of its results
-        return labels
+        return frozenset(chain.from_iterable(self.rows))
 
     @property
     def shape(self) -> Shape:

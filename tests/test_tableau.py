@@ -268,14 +268,9 @@ class TestLabelIndex:
         values = data.draw(st.lists(gaps, min_size=3, max_size=3, unique=True))
         chain = []
         for depth, x in enumerate(values, 1):
-            parent = t
-            formed = data.draw(st.booleans(), label=f"depth {depth - 1} formed") or not chain
-            if formed:
-                parent.labels  # forms it
+            if data.draw(st.booleans(), label=f"depth {depth - 1} formed") or not chain:
+                t.labels  # forms the parent's index
             t, _ = data.draw(st.sampled_from([row_insert, lambda t, x: column_insert(x, t)]))(t, x)
-            if formed:  # the nearest formed index is the parent's own
-                base, added = vars(t)["_index_parts"]
-                assert base is parent.labels and added == (x,)
             chain.append(t)
         top = 2 * n + 7
         for depth, t in enumerate(chain, 1):
