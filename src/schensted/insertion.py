@@ -138,13 +138,15 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
     boxes, labels = trail.boxes, trail.labels
-    if not boxes or t.get(trail.created_box) is not None:
+    rows = t.rows
+    n = len(rows)
+    r, c = boxes[-1] if boxes else (0, 0)  # the created box
+    if not boxes or 0 <= r < n and 0 <= c < len(rows[r]):  # Tableau.get inlined, as below
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInconsistentWithTableau("every box but the created one must carry a label")
-    rows = t.rows
     for (r, c), label in zip(boxes, labels):  # Tableau.get inlined: a negative index would wrap
-        if not (0 <= r < len(rows) and 0 <= c < len(rows[r])) or rows[r][c] != label:
+        if not (0 <= r < n and 0 <= c < len(rows[r])) or rows[r][c] != label:
             raise TrailInconsistentWithTableau(f"box {(r, c)} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
 
@@ -166,25 +168,29 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     they are turned back into tuples: the result shares every other row with ``t``.
     """
     rows = list(t.rows)
+    n = len(rows)  # the row count, one more for each row opened
     written = dict(placements)
     copied, overwritten = [], []
     for (r, c), label in written.items():
-        if r == len(rows) and c == 0:
-            rows.append([])
+        if 0 <= r < n and 0 <= c <= len(row := rows[r]):  # the box's one bounds test
+            if type(label) is not int or label < 0:
+                check_label(label)
+            if type(row) is tuple:
+                row = rows[r] = list(row)
+                copied.append(r)
+            if c < len(row):  # a box of t: each box is written once, so it still holds t's label
+                overwritten.append(row[c])
+                row[c] = label
+            else:
+                row.append(label)
+        elif r == n and c == 0:  # opens row n with its label
+            if type(label) is not int or label < 0:
+                check_label(label)
+            rows.append([label])
             copied.append(r)
-        if not (0 <= r < len(rows) and 0 <= c <= len(rows[r])):
-            raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
-        if type(label) is not int or label < 0:
-            check_label(label)
-        row = rows[r]
-        if type(row) is tuple:
-            row = rows[r] = list(row)
-            copied.append(r)
-        if c < len(row):  # a box of t: each box is written once, so it still holds t's label
-            overwritten.append(row[c])
-            row[c] = label
+            n += 1
         else:
-            row.append(label)
+            raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
     _check_writes(t, rows, written, overwritten)
     for r in copied:
         rows[r] = tuple(rows[r])

@@ -67,6 +67,8 @@ class DuplicateLabel(TableauError):
 
 def check_label(v: object) -> None:
     """Raise TableauError unless ``v`` is a natural number (``bool`` excluded)."""
+    if type(v) is int and v >= 0:  # the common case returns before the isinstance tests
+        return
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise TableauError(f"label {v!r} is not a natural")
 
@@ -114,19 +116,16 @@ def _check_writes(
     box's label in ``t``, so, ``t``'s labels being distinct, no overwritten
     box's old label: it is new.
     """
-    height = len(rows)
+    top = len(rows) - 1
     for (r, c), v in written.items():
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
             raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
-        lower = -1  # below every natural: row 0 has no lower neighbour
-        if r:
+        if r:  # row 0 has no lower neighbour, the top row no upper one
             below = rows[r - 1]
             if c >= len(below):
                 raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
-            lower = below[c]
-        above = rows[r + 1] if r + 1 < height else ()
-        if lower >= v or c < len(above) and v >= above[c]:
+        if r and below[c] >= v or r < top and c < len(above := rows[r + 1]) and v >= above[c]:
             raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
     labels = set(written.values())
     if len(labels) != len(written):

@@ -92,15 +92,16 @@ def classify_intersection(
         raise ValueError("expected a row trail and a column trail")
     row_boxes = row_trail.boxes
     col_boxes = col_trail.boxes
+    width = len(col_boxes)
     # The crossing test below is exact only when every segment spans one band.
     rows_in_band = list(map(itemgetter(0), row_boxes)) == list(range(len(row_boxes)))
-    if not rows_in_band or list(map(itemgetter(1), col_boxes)) != list(range(len(col_boxes))):
+    if not rows_in_band or list(map(itemgetter(1), col_boxes)) != list(range(width)):
         raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
-    shared = [bx for bx in row_boxes if 0 <= bx[1] < len(col_boxes) and col_boxes[bx[1]] == bx]
+    shared = [bx for bx in row_boxes if 0 <= bx[1] < width and col_boxes[bx[1]] == bx]
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")
 
-    last = len(col_boxes) - 1  # column segment m joins boxes m and m + 1
+    last = width - 1  # column segment m joins boxes m and m + 1
     cols = list(map(itemgetter(1), row_boxes))
     for k, (a, b) in enumerate(zip(cols, cols[1:])):
         # Row segment k, from column a to column b, can only cross the column segments between.
@@ -117,7 +118,7 @@ def classify_intersection(
     ri, ci = s_box  # S is step ri of the row trail and step ci of the column trail
     row_labels, col_labels = row_trail.labels, col_trail.labels
     row_final = ri == len(row_boxes) - 1
-    col_final = ci == len(col_boxes) - 1
+    col_final = ci == last
     if row_final != col_final:
         # A shared box empty in one trail but labeled in the other cannot happen.
         raise MultipleSharedBoxes(
