@@ -2,6 +2,8 @@ import pickle
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schensted import (
     CaseDescriptor,
@@ -16,6 +18,7 @@ from schensted import (
     enumerate_cases,
     resolve_conflict,
     row_insert,
+    rsk,
     trail_agreement,
 )
 from schensted.fused import _fused
@@ -205,6 +208,41 @@ def growth_insertion_tableau(word):
     return Tableau(rows)
 
 
+def jeu_de_taquin_tableau(t, x, y):
+    """(x→T)←y as the rectification of the skew tableau x ∗ T ∗ y, by jeu de taquin.
+
+    With T of shape λ and ℓ rows, row 0 of the skew tableau holds λ₁ + 1 inner
+    cells and then y, row r + 1 one inner cell and then row r of T, and row
+    ℓ + 1 holds x alone.  Its reading word is x·w(T)·y, so its rectification is
+    P(x·w(T)·y), whatever order the slides take (Schützenberger 1977; Fulton,
+    Young Tableaux, 1.2).  Each inner corner is slid out, the last inner row
+    first: the hole takes the smaller of its right and upper neighbours until it
+    has neither.  No insertion is run.
+    """
+    width = len(t.rows[0]) if t.rows else 0
+    skew = [[None] * (width + 1) + [y], *([None, *row] for row in t.rows), [x]]
+
+    def slide(r, c):
+        while True:
+            right = skew[r][c + 1] if c + 1 < len(skew[r]) else None
+            up = skew[r + 1][c] if r + 1 < len(skew) and c < len(skew[r + 1]) else None
+            if right is None and up is None:
+                break
+            if up is None or right is not None and right < up:
+                skew[r][c], c = right, c + 1
+            else:
+                skew[r][c], r = up, r + 1
+        skew[r].pop()  # the hole ends its row
+        if not skew[r]:  # only the top row can empty
+            skew.pop()
+
+    for r in range(len(t.rows), 0, -1):
+        slide(r, 0)
+    for c in range(width, -1, -1):
+        slide(0, c)
+    return Tableau(skew)
+
+
 def evacuation(t, big):
     """Schützenberger's evacuation of ``t``, each label v complemented to ``big`` − v.
 
@@ -271,6 +309,28 @@ class TestIndependentOracles:
                 assert image.intersection.variant == variant, case
                 assert evacuation(image.left, big) == report.right, case
                 assert evacuation(image.right, big) == report.left, case
+
+    def test_jeu_de_taquin(self):
+        # Rectifying x ∗ T ∗ y slides labels and never bumps: it shares no code
+        # with _bump, the placement step or the conflict rule.
+        for n in range(8):
+            for case in enumerate_cases(n):
+                report = commute_check(case.tableau, case.x, case.y)
+                p = jeu_de_taquin_tableau(case.tableau, case.x, case.y)
+                assert p == report.left == report.right == report.fused, case
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_jeu_de_taquin_on_random_words(self, data):
+        # P of a random word of multiples of 3, with x and y drawn from the gaps.
+        cells = data.draw(st.integers(min_value=0, max_value=300), label="cells")
+        word = data.draw(st.permutations(range(3, 3 * cells + 3, 3)), label="word")
+        gaps = [v for v in range(1, 3 * cells + 3) if v % 3]
+        x, y = data.draw(st.lists(st.sampled_from(gaps), min_size=2, max_size=2, unique=True))
+        t, _ = rsk(word)
+        report = commute_check(t, x, y)
+        p = jeu_de_taquin_tableau(t, x, y)
+        assert p == report.left == report.right == report.fused
 
 
 RECORDS = {  # each record type, read from a fresh analysis of the worked case, and its first field

@@ -196,7 +196,7 @@ class TestRunSweep:
     def test_each_level_counts_dual_cases_alike(self, n):
         assert_dual_counts_agree(harness._sweep_level(n).records())
 
-    @pytest.mark.parametrize("max_n", [9, 10, 11])
+    @pytest.mark.parametrize("max_n", [9, 10, 11, 12])
     def test_the_frozen_frontier_counts_dual_cases_alike(self, max_n):
         assert_dual_counts_agree((FRONTIER / f"verify-n{max_n}.txt").read_text().splitlines())
 

@@ -145,6 +145,17 @@ class TestApplyPlacements:
             _apply_placements(Tableau([[1, 3], [2]]), [(box, 5)])
         assert exc.value.box == box
 
+    @pytest.mark.parametrize("box", [(0, -1), (1, -1)], ids=["row 0", "row 1"])
+    def test_a_negative_column_leaves_a_gap(self, box):
+        # Column -1 would wrap onto the row's last label, and a later check would
+        # raise a subclass at the same box: assert the kind of error, not only its box.
+        t = Tableau([[1, 3], [2]])
+        with pytest.raises(TableauError, match="leaves a gap") as exc:
+            _apply_placements(t, [(box, 5)])
+        assert type(exc.value) is TableauError and exc.value.box == box
+        with pytest.raises(TableauError, match="leaves a gap"):  # the gap is found before the label
+            _apply_placements(t, [(box, -5)])
+
     @pytest.mark.parametrize(
         "placements,rows",
         [
