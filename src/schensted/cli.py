@@ -117,8 +117,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, without the usage block; subparsers inherit it
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schensted",
         description="Bumping insertion on Young tableaux, trail analysis, "
         "and exhaustive commutation checking.",

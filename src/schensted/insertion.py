@@ -15,7 +15,8 @@ from itertools import count
 from operator import ge, itemgetter, lt
 from typing import Iterable, Literal, NamedTuple
 
-from .tableau import BoxCoord, Label, Tableau, TableauError, _check_writes, check_label
+from .tableau import BoxCoord, ColumnNotIncreasing, DuplicateLabel, Label, RowNotIncreasing
+from .tableau import ShapeNotFerrers, Tableau, TableauError, check_label
 
 TrailKind = Literal["row", "column"]
 
@@ -40,10 +41,6 @@ class Trail(NamedTuple):
     kind: TrailKind
     boxes: tuple[BoxCoord, ...]  # step k in row (column) k; the last is the created box
     labels: tuple[Label, ...]  # the label each box but the created one held
-
-    @property
-    def created_box(self) -> BoxCoord:
-        return self.boxes[-1]
 
 
 def validate_trail(trail: Trail) -> None:
@@ -141,11 +138,11 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     rows = t.rows
     n = len(rows)
     r, c = boxes[-1] if boxes else (0, 0)  # the created box
-    if not boxes or 0 <= r < n and 0 <= c < len(rows[r]):  # Tableau.get inlined, as below
+    if not boxes or 0 <= r < n and 0 <= c < len(rows[r]):  # a negative index would wrap
         raise TrailInconsistentWithTableau("trail does not end in a new box")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInconsistentWithTableau("every box but the created one must carry a label")
-    for (r, c), label in zip(boxes, labels):  # Tableau.get inlined: a negative index would wrap
+    for (r, c), label in zip(boxes, labels):  # a negative index would wrap
         if not (0 <= r < n and 0 <= c < len(rows[r])) or rows[r][c] != label:
             raise TrailInconsistentWithTableau(f"box {(r, c)} does not hold label {label}")
     return _apply_placements(t, _trail_placements(trail, inserted))
@@ -157,27 +154,35 @@ def _trail_placements(trail: Trail, inserted: Label) -> list[tuple[BoxCoord, Lab
 
 
 def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) -> Tableau:
-    """Write each ``(box, label)`` into a copy of ``t`` in the order given, leaving no gap.
+    """Write each ``(box, label)`` into a copy of ``t`` in the order given, then check the result.
 
     Boxes are written in the order of their first placement, each with its last label.
     A new box named before its left neighbour leaves a gap.  No caller needs a sort: a
     trail has one new box, its last; the fused slide's two created boxes lie in different
     rows or are one box S, and in the shared-empty case B or J is named after S.
-    Only what the writes can break is checked, each label by ``check_label`` before
-    ``_check_writes`` hashes or compares it.  Only the rows written are copied, and only
-    they are turned back into tuples: the result shares every other row with ``t``.
+    Only the rows written are copied, and only they are turned back into tuples: the
+    result shares every other row with ``t``.
+
+    Only what the writes can break is checked, each label by ``check_label`` before it
+    is hashed or compared.  The result is a tableau exactly when each written box is
+    ordered against its left, right, lower and upper neighbours and, above row 0, has a
+    lower neighbour, and the written labels are distinct, those new to ``t`` (not the
+    old label of an overwritten box) absent from ``t``.  This uses nothing of why the
+    labels were written: two adjacent boxes not written are adjacent in ``t``; a row
+    longer than the row below ends in a written box outside ``t`` with no lower
+    neighbour; and a written label also found at a box not written is that box's label
+    in ``t``, so, ``t``'s labels being distinct, no overwritten box's old label: it is new.
     """
     rows = list(t.rows)
     n = len(rows)  # the row count, one more for each row opened
     written = dict(placements)
-    copied, overwritten = [], []
+    overwritten = []
     for (r, c), label in written.items():
         if 0 <= r < n and 0 <= c <= len(row := rows[r]):  # the box's one bounds test
             if type(label) is not int or label < 0:
                 check_label(label)
             if type(row) is tuple:
                 row = rows[r] = list(row)
-                copied.append(r)
             if c < len(row):  # a box of t: each box is written once, so it still holds t's label
                 overwritten.append(row[c])
                 row[c] = label
@@ -187,11 +192,25 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
             if type(label) is not int or label < 0:
                 check_label(label)
             rows.append([label])
-            copied.append(r)
             n += 1
         else:
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
-    _check_writes(t, rows, written, overwritten)
-    for r in copied:
+    for (r, c), v in written.items():
+        row = rows[r]
+        if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
+            raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
+        if r:  # row 0 has no lower neighbour, the top row no upper one
+            below = rows[r - 1]
+            if c >= len(below):
+                raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
+        if r and below[c] >= v or r + 1 < n and c < len(above := rows[r + 1]) and v >= above[c]:
+            raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
+    labels = set(written.values())
+    if len(labels) != len(written):
+        raise DuplicateLabel("a label is written twice")
+    new = labels.difference(overwritten)
+    if not new.isdisjoint(t.labels):
+        raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
+    for r, _ in written:  # the rows written; tuple() returns a row already turned back
         rows[r] = tuple(rows[r])
     return Tableau._trusted(tuple(rows))

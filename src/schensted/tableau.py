@@ -8,8 +8,9 @@ Validation runs only at the boundaries, where rows come from outside or from
 the step under test:
 
 - ``Tableau(...)`` and ``parse_tableau``;
-- ``insertion._apply_placements``, only at the boxes it writes: the fused
-  result and the ``slide_trail`` reconstructions;
+- ``insertion._apply_placements``, the one placement step, which writes and
+  checks only the boxes placed: the fused result and the ``slide_trail``
+  reconstructions.  ``_validate``, the full check, is its independent oracle;
 - the tableaux ``P`` and ``Q`` that ``rsk`` returns, each once per word;
 - one labelled tableau per SYT in ``harness.enumerate_cases``, shared by its cases;
 - each inserted value (``check_label``): ``row_insert``, ``column_insert``, ``slide_trail``, ``rsk``.
@@ -18,7 +19,7 @@ Rows the library derives itself from a valid tableau (bumping, transposing,
 enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
 
 ``Tableau.labels`` is the frozenset of a tableau's labels, formed from its
-rows on first read; the placement check reads it.  A result of ``row_insert``
+rows on first read; the placement step reads it.  A result of ``row_insert``
 or ``column_insert`` copies no index: it keeps the index of the tableau its
 chain of insertions started from and the tuple of labels inserted since, and
 ``v in t`` reads those two.  ``v in t`` and the next insertion scan that tuple,
@@ -73,7 +74,7 @@ def check_label(v: object) -> None:
         raise TableauError(f"label {v!r} is not a natural")
 
 
-def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share no code with it
+def _validate(rows: Rows) -> None:  # the placement step's oracle: share no code with it
     for r, row in enumerate(rows):
         if len(row) == 0:
             raise ShapeNotFerrers(f"row {r} is empty", (r, 0))
@@ -97,42 +98,6 @@ def _validate(rows: Rows) -> None:  # _check_writes's independent oracle: share 
             row_of[v] = r
             left = v
         below = row
-
-
-def _check_writes(
-    t: "Tableau", rows: list[list[Label]], written: dict[BoxCoord, Label], overwritten: list[Label]
-) -> None:
-    """Check ``rows``: the valid ``t`` with each box of ``written`` set, rows grown to fit.
-
-    Every written label is a natural (the caller ran ``check_label``), and
-    ``overwritten`` holds the old label of each written box inside ``t``.  ``rows``
-    is a tableau exactly when each written box is ordered against its left,
-    right, lower and upper neighbours and, above row 0, has a lower neighbour,
-    and the written labels are distinct, those new to ``t`` (not the old label
-    of an overwritten box) absent from ``t``.  This uses nothing of why the
-    labels were written: two adjacent boxes not written are adjacent in ``t``;
-    a row longer than the row below ends in a written box outside ``t`` with no
-    lower neighbour; and a written label also found at a box not written is that
-    box's label in ``t``, so, ``t``'s labels being distinct, no overwritten
-    box's old label: it is new.
-    """
-    top = len(rows) - 1
-    for (r, c), v in written.items():
-        row = rows[r]
-        if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
-            raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
-        if r:  # row 0 has no lower neighbour, the top row no upper one
-            below = rows[r - 1]
-            if c >= len(below):
-                raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
-        if r and below[c] >= v or r < top and c < len(above := rows[r + 1]) and v >= above[c]:
-            raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
-    labels = set(written.values())
-    if len(labels) != len(written):
-        raise DuplicateLabel("a label is written twice")
-    new = labels.difference(overwritten)
-    if not new.isdisjoint(t.labels):
-        raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
 
 
 @dataclass(frozen=True)
@@ -179,13 +144,6 @@ class Tableau:
     def __contains__(self, v: Label) -> bool:
         base, added = self._index()
         return v in base or v in added
-
-    def get(self, box: BoxCoord) -> Optional[Label]:
-        """Label at ``box``, or ``None`` when the box lies outside the shape."""
-        r, c = box
-        if 0 <= r < len(self.rows) and 0 <= c < len(self.rows[r]):
-            return self.rows[r][c]
-        return None
 
 
 def parse_tableau(text: str) -> Tableau:

@@ -417,6 +417,23 @@ class TestVerifyCommand:
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--bogus"],
+        ["insert", "--mode", "diag", "--value", "3"],
+        ["commute", "--x", "a", "--y", "2"],
+    ],
+)
+def test_a_bad_flag_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestPackageExports:
     def test_star_import_binds_no_module(self):
         namespace = {}

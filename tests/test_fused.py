@@ -162,8 +162,9 @@ class TestStrongCasePlacement:
             ci = col_trail.boxes.index(inter.s_box)
             b_box = col_trail.boxes[ci + 1]
             after_col, _ = column_insert(x, t)
-            assert after_col.get(b_box) == inter.s
-            assert report.left.get(b_box) == inter.s
+            r, c = b_box
+            assert after_col.rows[r][c] == inter.s
+            assert report.left.rows[r][c] == inter.s
 
 
 def growth_insertion_tableau(word):

@@ -279,11 +279,15 @@ class TestCheckCase:
         # validation runs.  (The sweep also validates each relabelled tableau,
         # shared by the two orders of x and y.)
         full, local = [], []
-        original_full, original_local = tableau._validate, tableau._check_writes
+        original_full, original_local = tableau._validate, insertion._apply_placements
         monkeypatch.setattr(tableau, "_validate", lambda rows: full.append(rows) or original_full(rows))
-        monkeypatch.setattr(
-            insertion, "_check_writes", lambda *args: local.append(args) or original_local(*args)
-        )
+
+        def counted(*args):
+            local.append(args)
+            return original_local(*args)
+
+        monkeypatch.setattr(insertion, "_apply_placements", counted)
+        monkeypatch.setattr(fused, "_apply_placements", counted)
         check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, SweepSummary())
         assert (len(full), len(local)) == (0, 3)
 
@@ -484,7 +488,7 @@ class TestRsk:
             p, q_rows = Tableau(), []
             for step_index, v in enumerate(w, 1):
                 p, trail = row_insert(p, v)
-                r = trail.created_box[0]
+                r = trail.boxes[-1][0]
                 if r == len(q_rows):
                     q_rows.append([])
                 q_rows[r].append(step_index)

@@ -17,7 +17,6 @@ PER_CASE_PATH = [
     insertion,
     fused,
     trails,
-    tableau._check_writes,
     tableau.Tableau.__contains__,
     tableau.Tableau._index,
     tableau.Tableau.labels.func,

@@ -16,13 +16,14 @@ from schensted import (
     TrailInvariantViolation,
     XAlreadyPresent,
     column_insert,
+    commute_check,
     enumerate_cases,
     row_insert,
     rsk,
     slide_trail,
     validate_trail,
 )
-from schensted import harness
+from schensted import fused, harness
 from schensted.harness import check_modify_property
 from schensted.insertion import Trail, _apply_placements, _bump, _trail_placements
 
@@ -308,7 +309,7 @@ def placements_with_faults(draw):
         beside = [(b, near) for b, near in beside if near not in written and near in cells]
         if beside:
             b, near = draw(st.sampled_from(beside))
-            placements.append((b, t.get(near) + sign))
+            placements.append((b, rows[near[0]][near[1]] + sign))
     elif fault == "ferrers":  # a row above row 0 filled to one box past the row below
         slid = [len(row) for row in rows] + [0, 0]
         slid[last[0]] += 1
@@ -319,14 +320,14 @@ def placements_with_faults(draw):
         placements.append((last, above_all))
         placements.append((draw(st.sampled_from([b for b in ends if b != last])), above_all))
     elif fault == "untouched":  # the largest, at the created box, where it is likely in order
-        untouched = [t.get(b) for b in cells if b not in written]
+        untouched = [rows[r][c] for r, c in cells if (r, c) not in written]
         if untouched:
             placements.append((last, max(untouched)))
     elif fault == "negative":  # where it is in order
         placements.append(((0, 0), -1))
     elif fault in ("float", "not a number"):  # equal to the label it overwrites, if it can be
         b = draw(st.sampled_from([b for b in cells if b not in written] or cells))
-        v = t.get(b)
+        v = rows[b[0]][b[1]]
         bad = float(v) if fault == "float" else draw(st.sampled_from([v == 0, str(v)]))
         placements.append((b, bad))
     elif fault == "rewritten":
@@ -342,11 +343,8 @@ class TestSlideTrail:
     def test_worked_example_column_trail(self, worked):
         _, trail = column_insert(WORKED_X, worked)
         intermediate = slide_trail(worked, trail, WORKED_X)
-        assert intermediate.get((3, 0)) == 7
-        assert intermediate.get((2, 1)) == 11
-        assert intermediate.get((2, 2)) == 13
-        assert intermediate.get((1, 3)) == 14
-        assert intermediate.get((1, 4)) == 15
+        rows = intermediate.rows
+        assert (rows[3][0], rows[2][1], rows[2][2], rows[1][3], rows[1][4]) == (7, 11, 13, 14, 15)
         assert intermediate == column_insert(WORKED_X, worked)[0]
 
     @pytest.mark.parametrize(
@@ -425,8 +423,9 @@ class TestTrailInvariants:
             for trail, tab, v in ((rt, rt_tab, y), (ct, ct_tab, x)):
                 validate_trail(trail)
                 assert len(tab.labels) == len(t.labels) + 1
-                assert tab.get(trail.created_box) is not None
-                assert t.get(trail.created_box) is None
+                r, c = trail.boxes[-1]  # the created box: in tab, just past the end of t's row r
+                assert c < len(tab.rows[r])
+                assert c == (len(t.rows[r]) if r < len(t.rows) else 0)
                 assert sorted(tab.labels) == sorted([*t.labels, v])
 
     @pytest.mark.parametrize("n", range(5))
@@ -520,14 +519,28 @@ class TestRowsNotShared:
             assert (rows_copy(t), rows_copy(after_row), rows_copy(after_col)) == (before, *inserted)
 
     @pytest.mark.parametrize("pairs", PAIRS)
-    def test_placements_copy_only_the_rows_they_write(self, pairs):
+    def test_placements_copy_only_the_rows_they_write(self, pairs, monkeypatch):
+        # The fused result too: it names S twice and may open a row with J.
+        passed = []
+
+        def recording(t, placements):
+            passed.append(placements)
+            return _apply_placements(t, placements)
+
+        monkeypatch.setattr(fused, "_apply_placements", recording)
         for t, x, y in pairs():
             rows, before = t.rows, rows_copy(t)
+            results = []
             for trail, v in ((row_insert(t, y)[1], y), (column_insert(x, t)[1], x)):
                 placements = _trail_placements(trail, v)
-                result = _apply_placements(t, placements)
+                results.append((placements, _apply_placements(t, placements)))
+            fused_result = commute_check(t, x, y).fused
+            results.append((passed.pop(), fused_result))
+            assert not passed
+            for placements, result in results:
                 assert t.rows is rows and rows_copy(t) == before
                 assert all(type(row) is tuple for row in result.rows)
+                hash(result)
                 written = {r for (r, _), _ in placements}
                 for r, row in enumerate(rows):
                     assert (result.rows[r] is row) == (r not in written), (r, written)

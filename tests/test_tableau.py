@@ -143,11 +143,6 @@ class TestAccessors:
         assert 13 in worked
         assert 7 not in worked
 
-    def test_get_outside_shape(self):
-        t = Tableau([[1, 3], [2]])
-        assert t.get((1, 1)) is None
-        assert t.get((0, 1)) == 3
-
     def test_labels(self):
         assert Tableau([[1, 3], [2]]).labels == {1, 2, 3}
 

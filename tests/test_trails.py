@@ -142,7 +142,7 @@ def band_trails(kind, width=4, max_steps=4):
 class TestGeometricTrail:
     def test_single_step(self):
         trail = Trail("row", ((0, 0),), ())
-        assert trail.created_box == (0, 0)
+        assert trail.boxes[-1] == (0, 0)
 
     def test_worked_example_row_trail(self, worked):
         _, trail = row_insert(worked, WORKED_Y)
