@@ -5,7 +5,7 @@ Subcommands: insert, commute, verify, rsk, render.  Tableaux are read from
 line, row 0 first, space-separated decimal naturals, ``#`` comments.
 
 Exit codes: 0 success, 1 verification or commutation failure or a violated
-invariant, 2 input error.
+invariant, 2 input error, 141 standard output closed early.
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout closed early (`| head`): devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -174,15 +174,11 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     where written, and ``left``/``right`` must equal the fused one.
     """
     t, x, y = case.tableau, case.x, case.y
-    try:
-        validate_trail(report.col_trail)
-        validate_trail(report.row_trail)
-        if slide_trail(t, report.row_trail, y) != report.after_row:
-            raise AssertionError("row slide mismatch")
-        if slide_trail(t, report.col_trail, x) != report.after_col:
-            raise AssertionError("column slide mismatch")
-    except Exception as err:
-        raise SweepFailure(case, "trail", str(err)) from err
+    for trail, inserted, after in ((report.col_trail, x, report.after_col),
+                                   (report.row_trail, y, report.after_row)):
+        _check(case, "trail", validate_trail, trail)
+        if _check(case, "trail", slide_trail, t, trail, inserted) != after:
+            raise SweepFailure(case, "trail", f"{trail.kind} slide mismatch")
     if not report.all_equal:
         raise SweepFailure(case, "commutation", "left/right/fused disagree")
     inter = report.intersection

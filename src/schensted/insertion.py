@@ -68,12 +68,12 @@ def _bump(
     """Bump ``x`` through the rows of ``rows``, or through its columns, in place.
 
     Row k (column k) swaps the incoming value for its smallest larger entry,
-    which moves on to row (column) k + 1; a larger value is appended, past the
-    last row opening a new one.  Column k is ``rows[r][k]`` for the first
-    ``height`` rows: one box per column, no transposing.  Rows are written as
-    lists, a tuple row copied on its first write; rows not written stay as they
-    are.  Returns the ``(row, col)`` box of each step and the labels bumped out
-    of them.
+    which moves on to row (column) k + 1; a larger value is appended.  Past the
+    last row a new row is opened empty and written like any other, as in
+    ``render_tableau``.  Column k is ``rows[r][k]`` for the first ``height``
+    rows: one box per column, no transposing.  Rows are written as lists, a
+    tuple row copied on its first write; rows not written stay as they are.
+    Returns the ``(row, col)`` box of each step and the labels bumped out of them.
     """
     boxes, labels = [], []
     n = height = len(rows)  # n stays the row count until the bump ends
@@ -88,8 +88,7 @@ def _bump(
             r, c = n, 0
         boxes.append((r, c))
         if r == n:
-            rows.append([x])
-            return boxes, labels
+            rows.append([])
         row = rows[r]
         if type(row) is tuple:
             row = rows[r] = list(row)
@@ -128,20 +127,20 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
 
     Each labeled step's label moves to the next step's box and ``inserted`` fills the first box.
     Raises TableauError unless ``inserted`` is a natural, XAlreadyPresent if it is in the tableau,
-    and TrailInconsistentWithTableau if the trail is empty, ends in a box of the tableau, or has a
-    box before the last that is unlabeled or whose label is not the tableau's.
+    and TrailInconsistentWithTableau unless the trail has one label fewer than boxes, ends in a
+    box not in the tableau, and labels every other box with the tableau's label there.
     """
     check_label(inserted)  # before hashing it
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
     boxes, labels = trail.boxes, trail.labels
+    if len(labels) != len(boxes) - 1:
+        raise TrailInconsistentWithTableau("every box but the created one must carry a label")
     rows = t.rows
     n = len(rows)
-    r, c = boxes[-1] if boxes else (0, 0)  # the created box
-    if not boxes or 0 <= r < n and 0 <= c < len(rows[r]):  # a negative index would wrap
+    r, c = boxes[-1]  # the created box
+    if 0 <= r < n and 0 <= c < len(rows[r]):  # a negative index would wrap
         raise TrailInconsistentWithTableau("trail does not end in a new box")
-    if len(labels) != len(boxes) - 1 or None in labels:
-        raise TrailInconsistentWithTableau("every box but the created one must carry a label")
     for (r, c), label in zip(boxes, labels):  # a negative index would wrap
         if not (0 <= r < n and 0 <= c < len(rows[r])) or rows[r][c] != label:
             raise TrailInconsistentWithTableau(f"box {(r, c)} does not hold label {label}")
@@ -157,9 +156,10 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     """Write each ``(box, label)`` into a copy of ``t`` in the order given, then check the result.
 
     Boxes are written in the order of their first placement, each with its last label.
-    A new box named before its left neighbour leaves a gap.  No caller needs a sort: a
-    trail has one new box, its last; the fused slide's two created boxes lie in different
-    rows or are one box S, and in the shared-empty case B or J is named after S.
+    A new box named before its left neighbour leaves a gap.  Box ``(n, 0)`` opens row n
+    empty, to be written like any other, as in ``render_tableau``.  No caller needs a
+    sort: a trail has one new box, its last; the fused slide's two created boxes lie in
+    different rows or are one box S, and in the shared-empty case B or J is named after S.
     Only the rows written are copied, and only they are turned back into tuples: the
     result shares every other row with ``t``.
 
@@ -178,23 +178,20 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     written = dict(placements)
     overwritten = []
     for (r, c), label in written.items():
-        if 0 <= r < n and 0 <= c <= len(row := rows[r]):  # the box's one bounds test
-            if type(label) is not int or label < 0:
-                check_label(label)
-            if type(row) is tuple:
-                row = rows[r] = list(row)
-            if c < len(row):  # a box of t: each box is written once, so it still holds t's label
-                overwritten.append(row[c])
-                row[c] = label
-            else:
-                row.append(label)
-        elif r == n and c == 0:  # opens row n with its label
-            if type(label) is not int or label < 0:
-                check_label(label)
-            rows.append([label])
+        if r == n and c == 0:  # opens row n empty
+            rows.append(row := [])
             n += 1
-        else:
+        elif not (0 <= r < n and 0 <= c <= len(row := rows[r])):  # the box's one bounds test
             raise TableauError(f"placing {label} at {(r, c)} leaves a gap", (r, c))
+        if type(label) is not int or label < 0:
+            check_label(label)
+        if type(row) is tuple:
+            row = rows[r] = list(row)
+        if c < len(row):  # a box of t: each box is written once, so it still holds t's label
+            overwritten.append(row[c])
+            row[c] = label
+        else:
+            row.append(label)
     for (r, c), v in written.items():
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:

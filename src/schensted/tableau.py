@@ -151,10 +151,10 @@ def parse_tableau(text: str) -> Tableau:
 
     One row per line, labels as space-separated decimal naturals, ``#``
     starts a comment, blank lines are ignored, an empty file is the empty
-    tableau.  Rows are expected first row (row 0) first; when the lines are
-    given in display order instead (French rendering puts row 0 last) the
-    reversed reading is tried before giving up, so rendered output parses
-    back to the same tableau.
+    tableau.  Rows are expected row 0 first.  Column 0 increases from row 0,
+    so lines are in display order (French rendering puts row 0 last) exactly
+    when the first line's first label is larger than the last line's; they
+    are then reversed, and rendered output parses back to the same tableau.
     """
     rows: list[tuple[Label, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -165,15 +165,9 @@ def parse_tableau(text: str) -> Tableau:
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise TableauError(f"line {lineno}: labels must be decimal naturals")
         rows.append(tuple(map(int, tokens)))
-    try:
-        return Tableau(tuple(rows))
-    except TableauError as err:
-        if len(rows) > 1:
-            try:
-                return Tableau(tuple(reversed(rows)))
-            except TableauError:
-                pass
-        raise err
+    if rows and rows[0][0] > rows[-1][0]:
+        rows.reverse()
+    return Tableau(tuple(rows))
 
 
 def dump_tableau(t: Tableau) -> str:

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -455,6 +458,22 @@ class TestRskCommand:
 
     def test_duplicate(self, capsys):
         assert main(["rsk", "1", "1"]) == 2
+
+    def test_a_closed_stdout_exits_141_in_silence(self):
+        # P's one row of 20,000 labels is about 110 KB, past a 64 KiB pipe buffer, so
+        # the command is still writing when the reader closes its end, as `| head -1` does.
+        src = os.path.dirname(os.path.dirname(schensted.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schensted.cli", "rsk", *map(str, range(1, 20001))],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == b"P:\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
 
 
 class TestAnnotateFlag:

@@ -163,11 +163,19 @@ class TestApplyPlacements:
             ([((0, 2), 5), ((0, 3), 6)], [[1, 3, 5, 6], [2]]),
             ([((2, 0), 6), ((1, 1), 5)], [[1, 3], [2, 5], [6]]),
             ([((2, 0), 6), ((2, 1), 7), ((1, 1), 5)], [[1, 3], [2, 5], [6, 7]]),
+            ([((2, 0), 6), ((3, 0), 7)], [[1, 3], [2], [6], [7]]),  # two rows opened
         ],
     )
     def test_new_boxes_after_their_left_neighbours(self, placements, rows):
         t = Tableau([[1, 3], [2]])
         assert _apply_placements(t, placements) == Tableau(rows)
+
+    @pytest.mark.parametrize("label", [-5, True], ids=["negative", "bool"])
+    def test_a_new_row_checks_its_label(self, label):
+        # The box that opens a row is in bounds, so the label test, not the gap test, fails.
+        with pytest.raises(TableauError, match="is not a natural") as exc:
+            _apply_placements(Tableau([[1, 3], [2]]), [((2, 0), label)])
+        assert type(exc.value) is TableauError
 
     @pytest.mark.parametrize(
         "placements,box",

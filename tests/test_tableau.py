@@ -96,7 +96,8 @@ class TestConstruction:
         assert t.labels == {1, 3, 4}
 
 
-# Rows whose display-order reading is invalid too, so parse_tableau reports them.
+# Rows whose column 0 does not decrease from the first line to the last, so
+# parse_tableau reads them in storage order and reports their fault.
 INVALID_ROWS = [
     (ShapeNotFerrers, [[1, 2], [3, 4, 5]]),
     (RowNotIncreasing, [[2, 1]]),
@@ -181,6 +182,16 @@ class TestTextFormat:
     def test_display_order_accepted(self):
         # French rendering lists the first row last; parsing recovers it.
         assert parse_tableau("2\n1 3") == Tableau([[1, 3], [2]])
+
+    def test_a_rectangle_in_display_order(self):
+        assert parse_tableau("3 4\n1 2").rows == ((1, 2), (3, 4))
+
+    def test_column_0_picks_the_reading_that_is_reported(self):
+        # 2 > 1 in column 0, so the lines are read in display order: row 0 is "1 2 4",
+        # and the 2 of "2 3" repeats it.  Read in storage order, row 1 would be too long.
+        with pytest.raises(DuplicateLabel) as exc:
+            parse_tableau("2 3\n1 2 4")
+        assert exc.value.box == (1, 0)
 
     def test_invalid_token(self):
         with pytest.raises(TableauError):
