@@ -46,8 +46,6 @@ class Trail(NamedTuple):
 def validate_trail(trail: Trail) -> None:
     """Check every structural trail invariant; raise on the first violation."""
     boxes, labels = trail.boxes, trail.labels
-    if not boxes:
-        raise TrailInvariantViolation("trail has no boxes")
     if len(labels) != len(boxes) - 1 or None in labels:
         raise TrailInvariantViolation("every box but the created one must carry a label")
     if any(map(ge, labels, labels[1:])):

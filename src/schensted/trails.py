@@ -3,13 +3,11 @@
 A trail becomes a broken line through the centers of its boxes.  Step k of a
 row trail lies in row k and step k of a column trail in column k, so every
 row-trail segment spans one row band and every column-trail segment one
-column band.  No vertex of one trail can then lie inside a segment of the
-other: the two broken lines touch either at a shared box or by a strict
-crossing, which integer cross products detect exactly.  They are taken on the
-(row, col) coordinates themselves: the map to box centers is a translation, a
-positive scaling and an axis swap.  Translation and scaling keep the sign of
-every cross product; the swap flips every sign, which leaves each product of
-two cross products, and so each crossing test, unchanged.
+column band.  Inside column band m..m+1 both segments are graphs over the
+column, so row segment k crosses column segment m exactly when their row
+difference changes sign strictly between c = m and c = m + 1.  Scaled by the
+row segment's column jump, that difference is an integer at both ends; it is
+0 only at a box of both trails, a touch rather than a crossing.
 
 Two trails on the same tableau either share no point (disjoint), share only
 their final unlabeled box, or share exactly one labeled box S.  In the last
@@ -65,18 +63,6 @@ class IntersectionReport(NamedTuple):
     configuration: Optional[str] = None
 
 
-def _cross(o: BoxCoord, p: BoxCoord, q: BoxCoord) -> int:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
-
-
-def _cross_strictly(p1: BoxCoord, p2: BoxCoord, q1: BoxCoord, q2: BoxCoord) -> bool:
-    """Whether segments p1p2 and q1q2 cross at a point inside both."""
-    return (
-        _cross(q1, q2, p1) * _cross(q1, q2, p2) < 0
-        and _cross(p1, p2, q1) * _cross(p1, p2, q2) < 0
-    )
-
-
 def classify_intersection(
     row_trail: Trail, col_trail: Trail, x: Label, y: Label
 ) -> IntersectionReport:
@@ -106,7 +92,9 @@ def classify_intersection(
     for k, (a, b) in enumerate(zip(cols, cols[1:])):
         # Row segment k, from column a to column b, can only cross the column segments between.
         for m in range(b, min(a, last)) if b < a else range(a, min(b, last)):
-            if _cross_strictly(row_boxes[k], row_boxes[k + 1], col_boxes[m], col_boxes[m + 1]):
+            # Row difference of the segments at c = m and c = m + 1, times b - a.
+            r, r2 = col_boxes[m][0], col_boxes[m + 1][0]
+            if ((k - r) * (b - a) + m - a) * ((k - r2) * (b - a) + m + 1 - a) < 0:
                 raise WeakIntersectionDetected(
                     f"row-trail segment {k} crosses column-trail segment {m}"
                 )

@@ -402,7 +402,7 @@ class TestTrailInvariants:
     @pytest.mark.parametrize(
         "trail, message",
         [
-            (Trail("row", (), ()), "no boxes"),
+            (Trail("row", (), ()), "every box but the created one"),
             (Trail("row", ((0, 0), (1, 0)), ()), "every box but the created one"),
             (Trail("column", ((0, 0),), (5,)), "every box but the created one"),
             (Trail("row", ((0, 1), (1, 0)), (None,)), "every box but the created one"),

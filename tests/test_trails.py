@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -139,6 +140,13 @@ def band_trails(kind, width=4, max_steps=4):
             yield Trail(kind, tuple(boxes), labels)
 
 
+def random_band_trail(rng, kind, width=12, max_steps=10):
+    """A trail of 1 to max_steps steps with step k in line k, drawn on a width-wide grid."""
+    others = [rng.randrange(width) for _ in range(rng.randint(1, max_steps))]
+    boxes = [(k, o) if kind == "row" else (o, k) for k, o in enumerate(others)]
+    return Trail(kind, tuple(boxes), tuple(100 * r + c + 1 for r, c in boxes[:-1]))
+
+
 class TestGeometricTrail:
     def test_single_step(self):
         trail = Trail("row", ((0, 0),), ())
@@ -265,6 +273,27 @@ class TestClassification:
             *(("strong", name) for name in POSSIBLE_ADJACENCIES.values()),
             MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration,
         }
+
+    def test_matches_rational_geometry_on_wide_band_pairs(self):
+        # The small grid above never lets a row segment jump more than 3 columns.
+        rng = random.Random(0)
+        weak = wide = 0
+        for _ in range(20_000):
+            row_trail = random_band_trail(rng, "row")
+            col_trail = random_band_trail(rng, "column")
+            expected = reference_outcome(row_trail, col_trail)
+            try:
+                report = classify_intersection(row_trail, col_trail, 0, 10_000)
+                actual = report.variant, report.configuration
+            except (MultipleSharedBoxes, WeakIntersectionDetected, ImpossibleConfiguration) as err:
+                actual = type(err)
+            assert actual == expected, (row_trail, col_trail)
+            weak += expected is WeakIntersectionDetected
+            cols = [c for _, c in row_trail.boxes]
+            wide += any(abs(b - a) >= 4 for a, b in zip(cols, cols[1:]))
+        # Most pairs have a long jump and some cross, so the crossing test is exercised.
+        assert wide >= 10_000
+        assert weak > 0
 
 
 def reference_relative_position(row_trail, col_trail, s_box):
