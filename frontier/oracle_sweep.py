@@ -1,0 +1,95 @@
+"""Check every case up to a size against jeu de taquin, an oracle that runs no bumping.
+
+For each case (T, x, y) of ``enumerate_cases`` with |T| up to ``--max-n``,
+``commute_check``'s ``left``, ``right`` and ``fused`` must all equal the
+rectification of x ∗ T ∗ y (``tests/oracles.py``).  Level n is split into
+``--workers`` shards as ``verify`` splits it, and the shards are read in
+order, so the first failure is the same at every worker count.  Standard
+output is one line, the number of cases checked; the elapsed time goes to
+standard error.  A failure prints ``verify``'s reproducer line and exits 1;
+when only the oracle disagrees, a second line gives its rows.
+
+    PYTHONPATH=src python frontier/oracle_sweep.py --max-n 8 --workers 2
+"""
+
+import argparse
+import multiprocessing
+import os
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles import jeu_de_taquin_tableau  # noqa: E402
+from schensted import commute_check, dump_tableau, enumerate_cases  # noqa: E402
+
+
+def involution_number(n):
+    """Standard Young tableaux with n cells: I(n) = I(n-1) + (n-1) I(n-2)."""
+    prev, cur = 1, 1
+    for k in range(2, n + 1):
+        prev, cur = cur, cur + (k - 1) * prev
+    return cur
+
+
+def check_shard(n, shard, shards):
+    """Cases of the shard that passed, and the first failing case with the oracle's rows, or None."""
+    checked = 0
+    for case in enumerate_cases(n, shard, shards):
+        p = jeu_de_taquin_tableau(*case)
+        try:
+            report = commute_check(*case)
+        except Exception:  # the reproducer shows the error
+            return checked, (case, None)
+        agree = report.left == report.right == report.fused
+        if not (agree and report.left == p):
+            return checked, (case, p.rows if agree else None)
+        checked += 1
+    return checked, None
+
+
+def shard_results(max_n, workers):
+    """``check_shard`` of every shard, level by level and in shard order."""
+    levels = [n for n in range(max_n + 1) for _ in range(workers)]
+    shards = [k for _ in range(max_n + 1) for k in range(workers)]
+    if workers == 1:
+        yield from map(check_shard, levels, shards, repeat(1))
+        return
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(check_shard, levels, shards, repeat(workers))  # closing cancels the rest
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--max-n", type=int, default=7)
+    parser.add_argument("--workers", type=int, default=1, help="worker processes, at most the CPU count")
+    args = parser.parse_args(argv)
+    if args.max_n < 0 or args.workers < 1:
+        parser.error("--max-n must be non-negative and --workers at least 1")
+    start = time.perf_counter()
+    total = 0
+    results = shard_results(args.max_n, min(args.workers, os.cpu_count() or 1))
+    for checked, failure in results:
+        total += checked
+        if failure:
+            results.close()
+            (t, x, y), oracle_rows = failure
+            rows = "".join(f" '{row}'" for row in dump_tableau(t).splitlines())
+            print(f"reproduce: printf '%s\\n'{rows} | schensted commute --x {x} --y {y}", file=sys.stderr)
+            if oracle_rows is not None:
+                print(f"only the oracle disagrees: jeu de taquin gives rows {oracle_rows}", file=sys.stderr)
+            return 1
+    expected = sum(involution_number(n) * (n + 1) * (n + 2) for n in range(args.max_n + 1))
+    if total != expected:
+        print(f"checked {total} cases, expected {expected} from the involution numbers", file=sys.stderr)
+        return 1
+    print(f"checked {total} cases up to n={args.max_n} against jeu de taquin")
+    print(f"elapsed_seconds={time.perf_counter() - start:.3f}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

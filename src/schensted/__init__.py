@@ -45,7 +45,6 @@ from .tableau import (
     DuplicateLabel,
     Label,
     RowNotIncreasing,
-    Shape,
     ShapeNotFerrers,
     Tableau,
     TableauError,

@@ -15,8 +15,8 @@ the step under test:
 - one labelled tableau per SYT in ``harness.enumerate_cases``, shared by its cases;
 - each inserted value (``check_label``): ``row_insert``, ``column_insert``, ``slide_trail``, ``rsk``.
 
-Rows the library derives itself from a valid tableau (bumping, transposing,
-enumerating) are wrapped by the private ``Tableau._trusted`` without a check.
+Rows the library derives itself from a valid tableau (bumping, enumerating)
+are wrapped by the private ``Tableau._trusted`` without a check.
 
 ``Tableau.labels`` is the frozenset of a tableau's labels, formed from its
 rows on first read; the placement step reads it.  A result of ``row_insert``
@@ -37,7 +37,6 @@ from typing import Optional
 
 Label = int
 BoxCoord = tuple[int, int]  # (row, col), both 0-based
-Shape = tuple[int, ...]
 Rows = tuple[tuple[Label, ...], ...]
 Index = tuple[frozenset[Label], tuple[Label, ...]]  # a formed label index, the labels added since
 
@@ -128,18 +127,6 @@ class Tableau:
     def labels(self) -> frozenset[Label]:
         """Every label of the tableau."""
         return frozenset(chain.from_iterable(self.rows))
-
-    @property
-    def shape(self) -> Shape:
-        return tuple(len(row) for row in self.rows)
-
-    def transpose(self) -> "Tableau":
-        """Reflect across the diagonal: box (r, c) moves to (c, r)."""
-        rows = self.rows
-        width = len(rows[0]) if rows else 0
-        return Tableau._trusted(
-            tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(width))
-        )
 
     def __contains__(self, v: Label) -> bool:
         base, added = self._index()

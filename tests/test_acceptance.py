@@ -34,6 +34,7 @@ from conftest import (
     WORKED_Y,
     reversal_check,
 )
+from oracles import transpose
 
 # Regression snapshot of the full n <= 8 sweep, frozen after the first
 # verified run.
@@ -183,8 +184,8 @@ def test_criterion_8_round_trip_and_duality():
             doubled = Tableau([[2 * v for v in row] for row in t.rows])
             for x in (0, 2 * n + 1, 1 if n else 3):
                 ct_tab, ct = column_insert(x, doubled)
-                rt_tab, rt = row_insert(doubled.transpose(), x)
-                assert ct_tab == rt_tab.transpose()
+                rt_tab, rt = row_insert(transpose(doubled), x)
+                assert ct_tab == transpose(rt_tab)
                 assert ct.boxes == tuple((c, r) for r, c in rt.boxes)
                 assert ct.labels == rt.labels
     report(8, "render/parse identity and row/column transpose duality hold at n<=6")

@@ -1,6 +1,4 @@
 import pickle
-from itertools import zip_longest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +22,7 @@ from schensted import (
 from schensted.fused import _fused
 
 from conftest import WORKED_RESULT, WORKED_X, WORKED_Y
+from oracles import evacuation, growth_insertion_tableau, jeu_de_taquin_tableau, transpose
 
 
 class TestResolveConflict:
@@ -167,93 +166,6 @@ class TestStrongCasePlacement:
             assert report.left.rows[r][c] == inter.s
 
 
-def growth_insertion_tableau(word):
-    """P of a word of distinct labels, by Fomin's local rules on shapes alone.
-
-    Cell (i, j) of the growth diagram holds the shape of P of the first i
-    letters kept to the j smallest labels.  Its shape follows from the three
-    below and to its left: a letter of rank j adds a box to the first row;
-    otherwise two different neighbours give their union, and two equal ones
-    that grew by a box in row r grow one more in row r + 1.  No insertion is
-    run.  Fomin 1995; Stanley, EC2 7.13.
-    """
-    labels = sorted(word)
-    m = len(labels)
-
-    def grow(shape, r):
-        return shape[:r] + (shape[r] + 1,) + shape[r + 1 :] if r < len(shape) else shape + (1,)
-
-    def added_row(small, large):
-        return next((r for r, part in enumerate(small) if part != large[r]), len(small))
-
-    previous = [()] * (m + 1)  # previous[j]: the shape at (i - 1, j)
-    for letter in word:
-        current = [()]
-        for j in range(1, m + 1):
-            rho, mu, nu = previous[j - 1], previous[j], current[j - 1]
-            if labels[j - 1] == letter:  # then rho == mu == nu
-                current.append(grow(rho, 0))
-            elif mu != nu:
-                current.append(tuple(map(max, zip_longest(mu, nu, fillvalue=0))))
-            elif mu == rho:
-                current.append(mu)
-            else:
-                current.append(grow(mu, added_row(rho, mu) + 1))
-        previous = current
-    rows = []
-    for j in range(1, m + 1):  # the label of rank j sits in the box that step j adds
-        r = added_row(previous[j - 1], previous[j])
-        if r == len(rows):
-            rows.append([])
-        rows[r].append(labels[j - 1])
-    return Tableau(rows)
-
-
-def jeu_de_taquin_tableau(t, x, y):
-    """(x→T)←y as the rectification of the skew tableau x ∗ T ∗ y, by jeu de taquin.
-
-    With T of shape λ and ℓ rows, row 0 of the skew tableau holds λ₁ + 1 inner
-    cells and then y, row r + 1 one inner cell and then row r of T, and row
-    ℓ + 1 holds x alone.  Its reading word is x·w(T)·y, so its rectification is
-    P(x·w(T)·y), whatever order the slides take (Schützenberger 1977; Fulton,
-    Young Tableaux, 1.2).  Each inner corner is slid out, the last inner row
-    first: the hole takes the smaller of its right and upper neighbours until it
-    has neither.  No insertion is run.
-    """
-    width = len(t.rows[0]) if t.rows else 0
-    skew = [[None] * (width + 1) + [y], *([None, *row] for row in t.rows), [x]]
-
-    def slide(r, c):
-        while True:
-            right = skew[r][c + 1] if c + 1 < len(skew[r]) else None
-            up = skew[r + 1][c] if r + 1 < len(skew) and c < len(skew[r + 1]) else None
-            if right is None and up is None:
-                break
-            if up is None or right is not None and right < up:
-                skew[r][c], c = right, c + 1
-            else:
-                skew[r][c], r = up, r + 1
-        skew[r].pop()  # the hole ends its row
-        if not skew[r]:  # only the top row can empty
-            skew.pop()
-
-    for r in range(len(t.rows), 0, -1):
-        slide(r, 0)
-    for c in range(width, -1, -1):
-        slide(0, c)
-    return Tableau(skew)
-
-
-def evacuation(t, big):
-    """Schützenberger's evacuation of ``t``, each label v complemented to ``big`` − v.
-
-    The reading word w of ``t`` has P(w) = t, and the reverse complement w# of w
-    has P(w#) = evac t (Schützenberger 1963; Fulton, Young Tableaux, A.1).  The
-    growth diagram gives that P without bumping.
-    """
-    reading = [v for row in reversed(t.rows) for v in row]
-    return growth_insertion_tableau([big - v for v in reversed(reading)])
-
 class TestIndependentOracles:
     def test_growth_diagram_gives_both_compositions(self):
         # (x→T)←y and x→(T←y) are both P of x·w(T)·y, where the reading word
@@ -274,7 +186,7 @@ class TestIndependentOracles:
         for n in range(7):
             for case in enumerate_cases(n):
                 report = commute_check(case.tableau, case.x, case.y)
-                dual = commute_check(case.tableau.transpose(), case.y, case.x)
+                dual = commute_check(transpose(case.tableau), case.y, case.x)
                 inter = report.intersection
                 expected = inter._replace(
                     s_box=inter.s_box and inter.s_box[::-1],
@@ -285,8 +197,8 @@ class TestIndependentOracles:
                     configuration=dual_configuration[inter.configuration],
                 )
                 assert dual.intersection == expected, case
-                assert dual.left == report.right.transpose(), case
-                assert dual.right == report.left.transpose(), case
+                assert dual.left == transpose(report.right), case
+                assert dual.right == transpose(report.left), case
 
     def test_evacuation_duality(self):
         # The case (T, x, y) goes to (evac T, N − y, N − x).  With P(w#) = evac P(w),

@@ -28,6 +28,7 @@ from schensted.harness import check_modify_property
 from schensted.insertion import Trail, _apply_placements, _bump, _trail_placements
 
 from conftest import WORKED_COL_TRAIL, WORKED_ROW_TRAIL, WORKED_X, WORKED_Y, random_words
+from oracles import transpose
 
 
 def steps_of(trail):
@@ -477,8 +478,8 @@ class TestTransposeDuality:
     def test_column_insert_is_conjugated_row_insert(self, insertions):
         for t, x in insertions():
             ct_tab, ct = column_insert(x, t)
-            rt_tab, rt = row_insert(t.transpose(), x)
-            assert ct_tab == rt_tab.transpose()
+            rt_tab, rt = row_insert(transpose(t), x)
+            assert ct_tab == transpose(rt_tab)
             assert ct.boxes == tuple((c, r) for r, c in rt.boxes)
             assert ct.labels == rt.labels
 

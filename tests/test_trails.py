@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -23,111 +22,13 @@ from schensted import (
 from schensted.insertion import Trail
 
 from conftest import WORKED_X, WORKED_Y
+from oracles import POSSIBLE_ADJACENCIES, reference_outcome
 
 
 def trails_of(t, x, y):
     _, col_trail = column_insert(x, t)
     _, row_trail = row_insert(t, y)
     return row_trail, col_trail
-
-
-# Reference geometry: the exact rational contact finder that the integer
-# crossing test replaced.  It finds every contact point of two broken lines,
-# shares no code with classify_intersection, and does not rely on the band rule.
-def _cross(o, p, q):
-    return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
-
-
-def _on_segment(p, q, m):
-    """Whether collinear point m lies within the bounding box of segment pq."""
-    return min(p[0], q[0]) <= m[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= m[1] <= max(
-        p[1], q[1]
-    )
-
-
-def _segment_meetings(p1, p2, q1, q2):
-    """None for no contact, ``[point]`` for a point contact, ``[]`` for an overlap."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        t = Fraction(d1, d1 - d2)
-        return [(p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))]
-    touches = set()
-    for d, m, (a, b) in ((d1, p1, (q1, q2)), (d2, p2, (q1, q2)), (d3, q1, (p1, p2)), (d4, q2, (p1, p2))):
-        if d == 0 and _on_segment(a, b, m):
-            touches.add((Fraction(m[0]), Fraction(m[1])))
-    if not touches:
-        return None
-    if len(touches) > 1:
-        return []
-    return [touches.pop()]
-
-
-def _polyline_meetings(verts1, verts2):
-    """All contact points of two polylines; None means a positive-length overlap."""
-    points = set()
-    segs1 = list(zip(verts1, verts1[1:]))
-    segs2 = list(zip(verts2, verts2[1:]))
-    if not segs1 or not segs2:
-        singles, other_verts, other_segs = (
-            (verts1, verts2, segs2) if not segs1 else (verts2, verts1, segs1)
-        )
-        for v in singles:
-            if v in other_verts or any(_cross(p, q, v) == 0 and _on_segment(p, q, v) for p, q in other_segs):
-                points.add((Fraction(v[0]), Fraction(v[1])))
-        return points
-    for p1, p2 in segs1:
-        for q1, q2 in segs2:
-            if (
-                max(p1[0], p2[0]) < min(q1[0], q2[0])
-                or max(q1[0], q2[0]) < min(p1[0], p2[0])
-                or max(p1[1], p2[1]) < min(q1[1], q2[1])
-                or max(q1[1], q2[1]) < min(p1[1], p2[1])
-            ):
-                continue  # bounding boxes apart
-            met = _segment_meetings(p1, p2, q1, q2)
-            if met == []:
-                return None
-            points.update(met or ())
-    return points
-
-
-# Each possible set of neighbors of S on the trails, and its name in the paper.
-POSSIBLE_ADJACENCIES = {frozenset(p): p for p in ("JB", "IJB", "AJB", "IJ", "AB")}
-
-
-def reference_outcome(row_trail, col_trail):
-    """The (variant, configuration) pair, or the exception class, implied by the rational geometry."""
-    row_boxes, col_boxes = row_trail.boxes, col_trail.boxes
-    shared = [bx for bx in row_boxes if bx in col_boxes]
-    if len(shared) > 1:
-        return MultipleSharedBoxes
-    center = lambda bx: (2 * bx[1] + 1, 2 * bx[0] + 1)  # noqa: E731
-    meetings = _polyline_meetings(
-        tuple(map(center, row_boxes)), tuple(map(center, col_boxes))
-    )
-    allowed = {(Fraction(x), Fraction(y)) for x, y in map(center, shared)}
-    if meetings is None or meetings - allowed:
-        return WeakIntersectionDetected
-    if not shared:
-        return "disjoint", None
-    (r0, c0), ri, ci = shared[0], row_boxes.index(shared[0]), col_boxes.index(shared[0])
-    row_final, col_final = ri == len(row_boxes) - 1, ci == len(col_boxes) - 1
-    if row_final != col_final:
-        return MultipleSharedBoxes
-    if row_final:
-        return "shared_empty_box", None
-    neighbors = (
-        ("A", col_boxes, ci - 1, (r0, c0 - 1)),
-        ("B", col_boxes, ci + 1, (r0, c0 + 1)),
-        ("I", row_boxes, ri - 1, (r0 - 1, c0)),
-        ("J", row_boxes, ri + 1, (r0 + 1, c0)),
-    )
-    adjacency = frozenset(name for name, boxes, k, box in neighbors if k >= 0 and boxes[k] == box)
-    configuration = POSSIBLE_ADJACENCIES.get(adjacency)
-    return ("strong", configuration) if configuration else ImpossibleConfiguration
 
 
 def band_trails(kind, width=4, max_steps=4):
