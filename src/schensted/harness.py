@@ -54,6 +54,8 @@ class SweepSummary:
     variant_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(get_args(Variant), 0))
     configuration_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CONFIGURATIONS, 0))
     part_ii_hypothesis_failures: int = 0  # never written; perfbench's sweep gate still reads it
+    # While _sweep_level fills the summary: the (row 0, y) pairs whose bump stability has passed.
+    stable: Optional[set] = field(default=None, init=False, repr=False, compare=False)
 
     def merge(self, other: "SweepSummary") -> None:
         self.cases_total += other.cases_total
@@ -188,8 +190,12 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
         failed = _check(case, "trail_agreement", trail_agreement, report)
         if failed:  # the first part of the trail-agreement lemma that does not hold
             raise SweepFailure(case, failed)
-    if t.rows:  # bump stability of the first-row insertion, on both extreme modifications
+    # Bump stability of the first-row insertion, on both extreme modifications.  It reads row 0
+    # and y alone, so a pair in summary.stable (_sweep_level's memo) has passed and is not rechecked.
+    if t.rows and (summary.stable is None or (t.rows[0], y) not in summary.stable):
         _check(case, "modify_property", check_modify_property, t.rows[0], y)
+        if summary.stable is not None:
+            summary.stable.add((t.rows[0], y))
     summary.variant_counts[inter.variant] += 1
     if inter.variant == "strong":
         summary.configuration_counts[inter.configuration] += 1
@@ -208,11 +214,13 @@ def _watch(stop) -> None:
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
     """Check all cases of the ``shard``-th of ``num_shards`` contiguous runs of tableaux of size n."""
     summary = SweepSummary()
+    summary.stable = set()
     for _, cases in groupby(enumerate_cases(n, shard, num_shards), itemgetter(0)):
         if _stop is not None and _stop.is_set():  # between tableaux
             break  # run_sweep discards a stopped summary
         for case in cases:
             check_case(case, None, summary)
+    summary.stable = None  # counts only leave the level
     return summary
 
 

@@ -15,7 +15,6 @@ from schensted import (
     Tableau,
     column_insert,
     commute_check,
-    enumerate_cases,
     enumerate_syt,
     parse_tableau,
     render_tableau,
@@ -26,10 +25,7 @@ from schensted.harness import check_modify_property
 
 from conftest import (
     INVOLUTION_NUMBERS,
-    WORKED_COL_TRAIL,
     WORKED_RESULT,
-    WORKED_ROW_TRAIL,
-    WORKED_ROWS,
     WORKED_X,
     WORKED_Y,
     reversal_check,

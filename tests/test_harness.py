@@ -7,6 +7,7 @@ from collections import Counter
 from concurrent import futures
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -426,6 +427,70 @@ class TestSweepFailure:
         marker = tmp_path / "level-8-started"
         assert self.sweep_failing_at(6, marker, monkeypatch).detail == "at n = 6"
         assert not marker.exists()
+
+
+class TestBumpStabilityMemo:
+    # Bump stability reads row 0 and y alone: a level shard checks each such pair once,
+    # a caller outside the sweep checks every case.
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        calls = []
+        real = harness.check_modify_property
+        monkeypatch.setattr(harness, "check_modify_property", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_the_sweep_checks_each_pair_once_per_level(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        summary = run_sweep(4)
+        # 2^(n-1) first rows times 2(n+1) values of y at level n >= 1; level 0 has no row.
+        per_level = [len({(c.tableau.rows[0], c.y) for c in enumerate_cases(n) if c.tableau.rows}) for n in range(5)]
+        assert per_level == [0, 4, 12, 32, 80]
+        assert len(calls) == sum(per_level) == 128
+        assert summary.cases_total == 412  # every case is still counted
+
+    def test_check_case_alone_checks_every_case(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        summary = SweepSummary()
+        cases = list(enumerate_cases(3))
+        for case in cases:
+            check_case(case, None, summary)
+        assert calls == [(case.tableau.rows[0], case.y) for case in cases]
+        assert len(calls) == summary.cases_total == 80
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_pair_is_reported_at_its_first_case(self, workers, monkeypatch):
+        pair = ((3, 9), 19)  # row 0 of six tableaux of level 6, all in shard 1 of 2
+        carriers = [case for case in enumerate_cases(6) if (case.tableau.rows[0], case.y) == pair]
+        assert len({case.tableau for case in carriers}) == 6
+        real = harness.check_modify_property
+
+        def planted(row, y):
+            if (row, y) == pair:
+                raise AssertionError("planted")
+            return real(row, y)
+
+        monkeypatch.setattr(harness, "check_modify_property", planted)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        with pytest.raises(SweepFailure) as exc:
+            run_sweep(6, workers=workers)
+        assert (exc.value.invariant, exc.value.detail) == ("modify_property", "planted")
+        # The sixth case of its tableau: x = 1 is the first x that comes with y = 19.
+        assert exc.value.case == carriers[0] == CaseDescriptor(Tableau([[3, 9], [6, 12], [15, 18]]), 1, 19)
+
+    def test_a_level_returns_no_memo(self, monkeypatch):
+        seen = []
+        real = harness.check_case
+        monkeypatch.setattr(harness, "check_case", lambda case, rng, s: seen.append(s.stable) or real(case, rng, s))
+        parts = [harness._sweep_level(4), harness._sweep_level(4, 1, 2)]
+        assert all(type(memo) is set for memo in seen) and len(seen) == 300 + 150
+        assert [vars(part)["stable"] for part in parts] == [None, None]
+        assert run_sweep(3, workers=2).stable is None
+        monkeypatch.setattr(harness, "_stop", SimpleNamespace(is_set=lambda: True))
+        assert harness._sweep_level(4).stable is None  # a stopped level too
 
 
 def patience_piles(word):
