@@ -173,7 +173,9 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     reads the trails, insertions and intersection from the report; both lemma
     checks on S take the report itself.  The insertions build their tableaux
     unchecked, the fused result and both ``slide_trail`` results are checked
-    where written, and ``left``/``right`` must equal the fused one.
+    where written, and ``left``/``right`` must equal the fused one.  Bump
+    stability reads row 0 and y alone, so a pair in ``summary.stable`` (the set
+    ``_sweep_level`` keeps) has passed and is not checked again.
     """
     t, x, y = case.tableau, case.x, case.y
     for trail, inserted, after in ((report.col_trail, x, report.after_col),
@@ -190,9 +192,8 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
         failed = _check(case, "trail_agreement", trail_agreement, report)
         if failed:  # the first part of the trail-agreement lemma that does not hold
             raise SweepFailure(case, failed)
-    # Bump stability of the first-row insertion, on both extreme modifications.  It reads row 0
-    # and y alone, so a pair in summary.stable (_sweep_level's memo) has passed and is not rechecked.
     if t.rows and (summary.stable is None or (t.rows[0], y) not in summary.stable):
+        # bump stability of the first-row insertion, on both extreme modifications
         _check(case, "modify_property", check_modify_property, t.rows[0], y)
         if summary.stable is not None:
             summary.stable.add((t.rows[0], y))
