@@ -99,18 +99,9 @@ def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
         raise
     except Exception as err:
         raise InvariantViolation(f"{type(err).__name__}: {err}") from err
-    return CommutationReport(
-        left=left,
-        right=right,
-        fused=fused,
-        intersection=intersection,
-        all_equal=left == right == fused,
-        after_col=after_col,
-        col_trail=col_trail,
-        after_row=after_row,
-        row_trail=row_trail,
-        left_row_trail=left_row_trail,
-    )
+    all_equal = left.rows == right.rows == fused.rows
+    return CommutationReport(left, right, fused, intersection, all_equal,
+                             after_col, col_trail, after_row, row_trail, left_row_trail)
 
 
 def trail_agreement(report: CommutationReport) -> Optional[str]:

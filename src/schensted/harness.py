@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import cycle, groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, TypeVar, get_args
+from typing import Iterator, NamedTuple, Optional, get_args
 
 from .fused import CommutationReport, commute_check, trail_agreement
 # row_insert is not called here; it stays importable from this module, where the
@@ -23,8 +23,6 @@ from .insertion import XAlreadyPresent, _bump, row_insert
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
-
-_R = TypeVar("_R")
 
 
 class DuplicateInWord(ValueError):
@@ -145,14 +143,6 @@ def check_modify_property(row: tuple[Label, ...], x: Label) -> Optional[Label]:
     return y
 
 
-def _check(case: CaseDescriptor, invariant: str, check: Callable[..., _R], *args) -> _R:
-    """``check(*args)``; if it raises, the case fails under ``invariant``."""
-    try:
-        return check(*args)
-    except Exception as err:
-        raise SweepFailure(case, invariant, str(err)) from err
-
-
 def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None:
     """Analyse the case once with ``commute_check`` and check the report with ``check_report``.
 
@@ -160,7 +150,10 @@ def check_case(case: CaseDescriptor, rng: object, summary: SweepSummary) -> None
     check is deterministic: the result depends on the case alone.
     """
     # rng is ignored; it stays only because perfbench/run.py still passes one per case.
-    report = _check(case, "commutation", commute_check, case.tableau, case.x, case.y)
+    try:
+        report = commute_check(case.tableau, case.x, case.y)
+    except Exception as err:
+        raise SweepFailure(case, "commutation", str(err)) from err
     check_report(case, report, summary)
 
 
@@ -168,35 +161,45 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     """Run every per-case invariant on ``report``, the case's ``commute_check``; count the case.
 
     Raises SweepFailure on the first violation, named by the check that finds it:
-    a check that raises fails the case under its name, as one that returns false
-    does.  The case is counted only once every check has passed.  Every check
-    reads the trails, insertions and intersection from the report; both lemma
-    checks on S take the report itself.  The insertions build their tableaux
-    unchecked, the fused result and both ``slide_trail`` results are checked
-    where written, and ``left``/``right`` must equal the fused one.  Bump
-    stability reads row 0 and y alone, so a pair in ``summary.stable`` (the set
-    ``_sweep_level`` keeps) has passed and is not checked again.
+    ``name`` is set before each check runs, and one handler turns an error a check
+    raises into ``SweepFailure(case, name, str(err))``, chained from it, while a
+    SweepFailure passes the handler untouched.  The case is counted only once every
+    check has passed.  Every check reads the trails, insertions and intersection
+    from the report; both lemma checks on S take the report itself.  The insertions
+    build their tableaux unchecked, the fused result and both ``slide_trail``
+    results are checked where written, and ``left``/``right`` must equal the fused
+    one.  Bump stability reads row 0 and y alone, so a pair in ``summary.stable``
+    (the set ``_sweep_level`` keeps) has passed and is not checked again.
     """
     t, x, y = case.tableau, case.x, case.y
-    for trail, inserted, after in ((report.col_trail, x, report.after_col),
-                                   (report.row_trail, y, report.after_row)):
-        _check(case, "trail", validate_trail, trail)
-        if _check(case, "trail", slide_trail, t, trail, inserted) != after:
-            raise SweepFailure(case, "trail", f"{trail.kind} slide mismatch")
-    if not report.all_equal:
-        raise SweepFailure(case, "commutation", "left/right/fused disagree")
     inter = report.intersection
-    if inter.variant == "strong":
-        if not _check(case, "relative_position", check_relative_position, report):
-            raise SweepFailure(case, "relative_position")
-        failed = _check(case, "trail_agreement", trail_agreement, report)
-        if failed:  # the first part of the trail-agreement lemma that does not hold
-            raise SweepFailure(case, failed)
-    if t.rows and (summary.stable is None or (t.rows[0], y) not in summary.stable):
-        # bump stability of the first-row insertion, on both extreme modifications
-        _check(case, "modify_property", check_modify_property, t.rows[0], y)
-        if summary.stable is not None:
-            summary.stable.add((t.rows[0], y))
+    name = "trail"
+    try:
+        for trail, inserted, after in ((report.col_trail, x, report.after_col),
+                                       (report.row_trail, y, report.after_row)):
+            validate_trail(trail)
+            if slide_trail(t, trail, inserted).rows != after.rows:
+                raise SweepFailure(case, name, f"{trail.kind} slide mismatch")
+        if not report.all_equal:
+            raise SweepFailure(case, "commutation", "left/right/fused disagree")
+        if inter.variant == "strong":
+            name = "relative_position"
+            if not check_relative_position(report):
+                raise SweepFailure(case, name)
+            name = "trail_agreement"
+            failed = trail_agreement(report)
+            if failed:  # the first part of the trail-agreement lemma that does not hold
+                raise SweepFailure(case, failed)
+        if t.rows and (summary.stable is None or (t.rows[0], y) not in summary.stable):
+            # bump stability of the first-row insertion, on both extreme modifications
+            name = "modify_property"
+            check_modify_property(t.rows[0], y)
+            if summary.stable is not None:
+                summary.stable.add((t.rows[0], y))
+    except SweepFailure:
+        raise
+    except Exception as err:
+        raise SweepFailure(case, name, str(err)) from err
     summary.variant_counts[inter.variant] += 1
     if inter.variant == "strong":
         summary.configuration_counts[inter.configuration] += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import count
-from operator import ge, itemgetter, lt
+from operator import ge, itemgetter
 from typing import Iterable, Literal, NamedTuple
 
 from .tableau import BoxCoord, ColumnNotIncreasing, DuplicateLabel, Label, RowNotIncreasing
@@ -52,12 +52,12 @@ def validate_trail(trail: Trail) -> None:
         raise TrailInvariantViolation("trail labels must strictly increase")
     # Step k lies in row (column) k; the other coordinate weakly decreases.
     line, across, own = ("row", "columns", 0) if trail.kind == "row" else ("column", "rows", 1)
-    if list(map(itemgetter(own), boxes)) != list(range(len(boxes))):
-        k = next(k for k, box in enumerate(boxes) if box[own] != k)
-        raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
-    coords = list(map(itemgetter(1 - own), boxes))
-    if any(map(lt, coords, coords[1:])):
-        raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
+    for k, box in enumerate(boxes):  # a loop: on a trail's few boxes, faster than map()
+        if box[own] != k:
+            raise TrailInvariantViolation(f"{line}-trail step {k} not in {line} {k}")
+    for a, b in zip(boxes, boxes[1:]):
+        if a[1 - own] < b[1 - own]:
+            raise TrailInvariantViolation(f"{line}-trail {across} must weakly decrease")
 
 
 def _bump(
@@ -98,7 +98,8 @@ def _bump(
 
 
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
-    check_label(x)
+    if type(x) is not int or x < 0:  # the common case skips the call
+        check_label(x)
     base, added = t._index()
     if x in base or x in added:
         raise XAlreadyPresent(f"{x} already present in tableau")
@@ -128,7 +129,8 @@ def slide_trail(t: Tableau, trail: Trail, inserted: Label) -> Tableau:
     and TrailInconsistentWithTableau unless the trail has one label fewer than boxes, ends in a
     box not in the tableau, and labels every other box with the tableau's label there.
     """
-    check_label(inserted)  # before hashing it
+    if type(inserted) is not int or inserted < 0:  # before hashing it
+        check_label(inserted)
     if inserted in t:
         raise XAlreadyPresent(f"{inserted} already present in tableau")
     boxes, labels = trail.boxes, trail.labels
@@ -158,8 +160,8 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
     empty, to be written like any other, as in ``render_tableau``.  No caller needs a
     sort: a trail has one new box, its last; the fused slide's two created boxes lie in
     different rows or are one box S, and in the shared-empty case B or J is named after S.
-    Only the rows written are copied, and only they are turned back into tuples: the
-    result shares every other row with ``t``.
+    Only the rows written are copied, and only they are turned back into tuples, each
+    once its box is checked: the result shares every other row with ``t``.
 
     Only what the writes can break is checked, each label by ``check_label`` before it
     is hashed or compared.  The result is a tableau exactly when each written box is
@@ -194,18 +196,18 @@ def _apply_placements(t: Tableau, placements: Iterable[tuple[BoxCoord, Label]]) 
         row = rows[r]
         if c and row[c - 1] >= v or c + 1 < len(row) and v >= row[c + 1]:
             raise RowNotIncreasing(f"row {r} not strictly increasing around column {c}", (r, c))
-        if r:  # row 0 has no lower neighbour, the top row no upper one
-            below = rows[r - 1]
-            if c >= len(below):
+        if r:  # row 0 has no lower neighbour
+            if c >= len(below := rows[r - 1]):
                 raise ShapeNotFerrers(f"row {r} is longer than row {r - 1}", (r, c))
-        if r and below[c] >= v or r + 1 < n and c < len(above := rows[r + 1]) and v >= above[c]:
+            if below[c] >= v:
+                raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
+        if r + 1 < n and c < len(above := rows[r + 1]) and v >= above[c]:
             raise ColumnNotIncreasing(f"column {c} not strictly increasing around row {r}", (r, c))
+        rows[r] = tuple(row)  # a row already turned back stays as it is
     labels = set(written.values())
     if len(labels) != len(written):
         raise DuplicateLabel("a label is written twice")
     new = labels.difference(overwritten)
     if not new.isdisjoint(t.labels):
         raise DuplicateLabel(f"written labels {sorted(new & t.labels)} are in the tableau")
-    for r, _ in written:  # the rows written; tuple() returns a row already turned back
-        rows[r] = tuple(rows[r])
     return Tableau._trusted(tuple(rows))

@@ -80,9 +80,10 @@ def classify_intersection(
     col_boxes = col_trail.boxes
     width = len(col_boxes)
     # The crossing test below is exact only when every segment spans one band.
-    rows_in_band = list(map(itemgetter(0), row_boxes)) == list(range(len(row_boxes)))
-    if not rows_in_band or list(map(itemgetter(1), col_boxes)) != list(range(width)):
-        raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
+    for own, boxes in ((0, row_boxes), (1, col_boxes)):
+        for k, box in enumerate(boxes):  # a loop: on a trail's few boxes, faster than map()
+            if box[own] != k:
+                raise ValueError("trail step k must lie in row k (row trail) or column k (column trail)")
     shared = [bx for bx in row_boxes if 0 <= bx[1] < width and col_boxes[bx[1]] == bx]
     if len(shared) > 1:
         raise MultipleSharedBoxes(f"trails share boxes {shared}")

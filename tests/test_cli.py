@@ -366,6 +366,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "check,invariant",
         [
+            ("validate_trail", "trail"),
+            ("slide_trail", "trail"),
             ("check_relative_position", "relative_position"),
             ("trail_agreement", "trail_agreement"),
             ("check_modify_property", "modify_property"),

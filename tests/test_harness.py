@@ -325,28 +325,48 @@ class TestCheckReport:
         assert by_report == by_case and by_report.cases_total == 1
 
     @pytest.mark.parametrize(
-        "tamper,invariant",
+        "tamper,invariant,detail,cause",
         [
-            (lambda r: r._replace(after_row=r.after_col), "trail"),
-            (lambda r: r._replace(after_col=r.after_row), "trail"),
-            (lambda r: r._replace(row_trail=r.col_trail, col_trail=r.row_trail), "trail"),
-            (lambda r: r._replace(all_equal=False), "commutation"),
-            (lambda r: shift_left_row_label(r, 0, -1), "trail_agreement_below"),
+            (lambda r: r._replace(after_row=r.after_col), "trail", "row slide mismatch", None),
+            (lambda r: r._replace(after_col=r.after_row), "trail", "column slide mismatch", None),
+            (
+                lambda r: r._replace(row_trail=r.col_trail, col_trail=r.row_trail),
+                "trail", "row slide mismatch", None,
+            ),
+            # validate_trail raises on the column trail, checked first.
+            (
+                lambda r: r._replace(col_trail=r.col_trail._replace(labels=r.col_trail.labels[::-1])),
+                "trail", "trail labels must strictly increase", insertion.TrailInvariantViolation,
+            ),
+            # Labels 0 < 10 < 13 ... still increase, so validate_trail passes and slide_trail raises:
+            # T holds 9 at (0, 3).
+            (
+                lambda r: r._replace(row_trail=r.row_trail._replace(labels=(0,) + r.row_trail.labels[1:])),
+                "trail", "box (0, 3) does not hold label 0", insertion.TrailInconsistentWithTableau,
+            ),
+            (lambda r: r._replace(all_equal=False), "commutation", "left/right/fused disagree", None),
+            (lambda r: shift_left_row_label(r, 0, -1), "trail_agreement_below", "", None),
             # S is in row 2, so label 3 is the first above it: the part-II premise.
-            (lambda r: shift_left_row_label(r, 3, +1), "part_ii_hypothesis"),
-            (lambda r: shift_left_row_label(r, 4, +1), "trail_agreement_above"),
+            (lambda r: shift_left_row_label(r, 3, +1), "part_ii_hypothesis", "", None),
+            (lambda r: shift_left_row_label(r, 4, +1), "trail_agreement_above", "", None),
         ],
         ids=[
-            "row-result", "column-result", "trails-swapped", "unequal", "below-s", "first-above-s",
-            "above-s",
+            "row-result", "column-result", "trails-swapped", "column-labels-reversed",
+            "row-label-not-in-tableau", "unequal", "below-s", "first-above-s", "above-s",
         ],
     )
-    def test_a_report_that_does_not_fit_its_case_fails(self, tamper, invariant):
+    def test_a_report_that_does_not_fit_its_case_fails(self, tamper, invariant, detail, cause):
+        # A SweepFailure a check raises is not wrapped again: its detail stays its own.
         report = commute_check(*self.CASE)
         summary = SweepSummary()
         with pytest.raises(SweepFailure) as exc:
             check_report(self.CASE, tamper(report), summary)
         assert exc.value.invariant == invariant and exc.value.case == self.CASE
+        assert exc.value.detail == detail
+        if cause is None:
+            assert exc.value.__cause__ is None
+        else:  # the check's own error, chained
+            assert type(exc.value.__cause__) is cause and str(exc.value.__cause__) == detail
         assert summary.cases_total == 0
         assert summary == SweepSummary()  # a failed case is not counted
 
