@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .insertion import InvariantViolation, Trail, column_insert, row_insert
-from .insertion import _apply_placements, _trail_placements
+from .insertion import _apply_placements, _grow, _trail_placements
 from .tableau import Label, Tableau, TableauError
 from .trails import IntersectionReport, NotAStrongIntersection, classify_intersection
 
@@ -83,16 +83,17 @@ def commute_check(t: Tableau, x: Label, y: Label) -> CommutationReport:
     Each of the four insertions runs once and the trails are classified once;
     the report keeps both trails of T, the single insertions, and the row
     trail of (x→T)←y.  ``left`` and ``right`` share no code with the fused slide.
-    The first two insertions check x and y; any error raised after them is the
-    analysis's own and leaves as an ``InvariantViolation``.
+    The first two insertions check x and y, so the compositions need not; any error
+    raised after them is the analysis's own and leaves as an ``InvariantViolation``.
     """
     if x == y:
         raise LabelsNotDistinct(f"x and y must differ, got {x}")
     after_col, col_trail = column_insert(x, t)
     after_row, row_trail = row_insert(t, y)
     try:
-        left, left_row_trail = row_insert(after_col, y)
-        right, _ = column_insert(x, after_row)
+        # y is not in T and is not x, so not in x→T; likewise x is not in T←y.
+        left, left_row_trail = _grow(after_col, y, "row")
+        right, _ = _grow(after_row, x, "column")
         intersection = classify_intersection(row_trail, col_trail, x, y)
         fused = _fused(t, x, y, col_trail, row_trail, intersection)
     except InvariantViolation:

@@ -100,15 +100,18 @@ def _bump(
 def _insert(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
     if type(x) is not int or x < 0:  # the common case skips the call
         check_label(x)
-    base, added = t._index()
-    if x in base or x in added:
+    if x in t:
         raise XAlreadyPresent(f"{x} already present in tableau")
+    return _grow(t, x, kind)
+
+
+def _grow(t: Tableau, x: Label, kind: TrailKind) -> tuple[Tableau, Trail]:
+    """Insert ``x`` unchecked: the caller knows it is a natural not in ``t``."""
     rows = list(t.rows)
     boxes, labels = _bump(rows, x, by_column=kind == "column")
     for r, _ in boxes:  # the rows the bump wrote; tuple() returns a row already turned back
         rows[r] = tuple(rows[r])
-    result = Tableau._trusted(tuple(rows), (base, added + (x,)))
-    return result, Trail(kind, tuple(boxes), tuple(labels))
+    return Tableau._trusted(tuple(rows)), Trail(kind, tuple(boxes), tuple(labels))
 
 
 def row_insert(t: Tableau, x: Label) -> tuple[Tableau, Trail]:

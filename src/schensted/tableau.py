@@ -18,14 +18,9 @@ the step under test:
 Rows the library derives itself from a valid tableau (bumping, enumerating)
 are wrapped by the private ``Tableau._trusted`` without a check.
 
-``Tableau.labels`` is the frozenset of a tableau's labels, formed from its
-rows on first read; the placement step reads it.  A result of ``row_insert``
-or ``column_insert`` copies no index: it keeps the index of the tableau its
-chain of insertions started from and the tuple of labels inserted since, and
-``v in t`` reads those two.  ``v in t`` and the next insertion scan that tuple,
-and the next insertion copies it, so both cost one step per insertion chained;
-``check_case`` chains two.  Neither is a field: ``==``, ``hash`` and ``repr``
-read the rows alone.
+``Tableau.labels`` is the frozenset of a tableau's labels, its one label index,
+formed from its rows on first read and cached; ``v in t`` and the placement
+step read it.  It is not a field: ``==``, ``hash`` and ``repr`` read the rows alone.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from typing import Optional
 Label = int
 BoxCoord = tuple[int, int]  # (row, col), both 0-based
 Rows = tuple[tuple[Label, ...], ...]
-Index = tuple[frozenset[Label], tuple[Label, ...]]  # a formed label index, the labels added since
 
 
 class TableauError(ValueError):
@@ -110,18 +104,11 @@ class Tableau:
         _validate(self.rows)
 
     @classmethod
-    def _trusted(cls, rows: Rows, index: Optional[Index] = None) -> "Tableau":
-        """Wrap valid rows without ``_validate``; ``index``, when given, holds their labels."""
+    def _trusted(cls, rows: Rows) -> "Tableau":
+        """Wrap valid rows without ``_validate``."""
         t = object.__new__(cls)
-        state = t.__dict__  # written directly: the dataclass is frozen
-        state["rows"] = rows
-        if index is not None:
-            state["_index_parts"] = index
+        t.__dict__["rows"] = rows  # written directly: the dataclass is frozen
         return t
-
-    def _index(self) -> Index:
-        """Every label: the index a chain of insertions started from, the labels inserted since."""
-        return self.__dict__.get("_index_parts") or (self.labels, ())
 
     @cached_property
     def labels(self) -> frozenset[Label]:
@@ -129,8 +116,7 @@ class Tableau:
         return frozenset(chain.from_iterable(self.rows))
 
     def __contains__(self, v: Label) -> bool:
-        base, added = self._index()
-        return v in base or v in added
+        return v in self.labels
 
 
 def parse_tableau(text: str) -> Tableau:

@@ -10,6 +10,8 @@ from schensted import (
     LabelsNotDistinct,
     NotAStrongIntersection,
     Tableau,
+    TableauError,
+    XAlreadyPresent,
     classify_intersection,
     column_insert,
     commute_check,
@@ -19,6 +21,7 @@ from schensted import (
     rsk,
     trail_agreement,
 )
+from schensted import fused
 from schensted.fused import _fused
 
 from conftest import WORKED_RESULT, WORKED_X, WORKED_Y
@@ -94,6 +97,33 @@ class TestCommuteCheck:
     def test_equal_values_rejected(self, worked):
         with pytest.raises(LabelsNotDistinct, match="x and y must differ, got 7"):
             commute_check(worked, 7, 7)
+
+    @pytest.mark.parametrize(
+        "x,y,error",
+        [
+            (13, WORKED_Y, XAlreadyPresent),  # x in T
+            (WORKED_X, 13, XAlreadyPresent),  # y in T
+            (WORKED_X, WORKED_X, LabelsNotDistinct),
+            (-1, WORKED_Y, TableauError),
+            (WORKED_X, -1, TableauError),
+            (True, WORKED_Y, TableauError),
+            (WORKED_X, False, TableauError),
+        ],
+    )
+    def test_bad_values_raise_before_the_compositions(self, worked, monkeypatch, x, y, error):
+        # The two compositions insert unchecked: the x == y test and the checked
+        # insertions x→T and T←y must raise first, each its own exception class.
+        grown = []
+        monkeypatch.setattr(fused, "_grow", lambda *args: grown.append(args))
+        with pytest.raises(error) as exc:
+            commute_check(worked, x, y)
+        assert type(exc.value) is error and grown == []
+
+    def test_public_chains_check_every_value(self, worked):
+        with pytest.raises(XAlreadyPresent):
+            row_insert(column_insert(WORKED_X, worked)[0], WORKED_X)
+        with pytest.raises(XAlreadyPresent):
+            column_insert(WORKED_Y, row_insert(worked, WORKED_Y)[0])
 
     def test_empty(self):
         report = commute_check(Tableau(), 1, 2)

@@ -225,13 +225,15 @@ class TestRunSweep:
 class TestCheckCase:
     def test_one_analysis_per_case(self, worked, monkeypatch):
         # Two insertions of each kind and one classification are all a case needs.
+        # Every insertion runs insertion._grow once; the public one of each kind
+        # checks its value first, and the two compositions call _grow unchecked.
         counts = Counter()
         modules = [m for name, m in sys.modules.items() if name.startswith("schensted")]
-        for name in ("row_insert", "column_insert", "classify_intersection"):
-            original = getattr(sys.modules["schensted"], name)
+        for name in ("row_insert", "column_insert", "_grow", "classify_intersection"):
+            original = getattr(insertion, name, None) or getattr(sys.modules["schensted"], name)
 
             def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
+                counts[(_name, args[2]) if _name == "_grow" else _name] += 1
                 return _original(*args)
 
             for module in modules:
@@ -240,26 +242,29 @@ class TestCheckCase:
         summary = SweepSummary()
         check_case(CaseDescriptor(worked, WORKED_X, WORKED_Y), None, summary)
         assert summary.cases_total == 1
-        assert counts == {"row_insert": 2, "column_insert": 2, "classify_intersection": 1}
+        assert counts == {
+            ("_grow", "row"): 2, ("_grow", "column"): 2,
+            "row_insert": 1, "column_insert": 1, "classify_intersection": 1,
+        }
 
     def test_one_label_index_per_tableau(self, worked, monkeypatch):
         # Only the case's tableau forms a label index, from its rows, once.  The four
-        # insertions x→T, T←y, left and right form none: each keeps T's index and the
-        # labels inserted since, in the order they were inserted.
+        # insertions x→T, T←y, left and right form none.
         values = [0, WORKED_X, WORKED_Y, 20, 21]  # a value in every gap of the labels 1..19
         assert not any(v in row for row in WORKED_ROWS for v in values)
         formed = []  # every tableau that formed its index
         form = Tableau.labels.func
         monkeypatch.setattr(Tableau.labels, "func", lambda t: formed.append(t) or form(t))
         made = []  # every insertion result
-        insert = insertion._insert
+        grow = insertion._grow
 
         def spy(t, x, kind):
-            result, trail = insert(t, x, kind)
+            result, trail = grow(t, x, kind)
             made.append(result)
             return result, trail
 
-        monkeypatch.setattr(insertion, "_insert", spy)
+        monkeypatch.setattr(insertion, "_grow", spy)
+        monkeypatch.setattr(fused, "_grow", spy)
         reports = []
         analyse = harness.commute_check
         monkeypatch.setattr(harness, "commute_check", lambda *args: reports.append(analyse(*args)) or reports[-1])
@@ -270,10 +275,6 @@ class TestCheckCase:
         inserted = {id(t) for r in reports for t in (r.after_col, r.after_row, r.left, r.right)}
         assert {id(t) for t in made} == inserted and len(made) == 4 * len(reports) == 80
         assert not [t for t in made if "labels" in vars(t)]
-        for (x, y), r in zip(pairs, reports):
-            for t, added in ((r.after_col, (x,)), (r.after_row, (y,)), (r.left, (x, y)), (r.right, (y, x))):
-                base, since = vars(t)["_index_parts"]
-                assert base is worked.labels and since == added
 
     def test_three_validations_per_case(self, worked, monkeypatch):
         # The fused result and the two slide_trail reconstructions, each checked

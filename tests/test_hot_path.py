@@ -18,7 +18,6 @@ PER_CASE_PATH = [
     fused,
     trails,
     tableau.Tableau.__contains__,
-    tableau.Tableau._index,
     tableau.Tableau.labels.func,
     harness.check_case,
     harness.check_report,
