@@ -12,7 +12,6 @@ when only the oracle disagrees, a second line gives its rows.
     PYTHONPATH=src python frontier/oracle_sweep.py --max-n 8 --workers 2
 """
 
-import argparse
 import multiprocessing
 import os
 import sys
@@ -24,7 +23,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import jeu_de_taquin_tableau  # noqa: E402
-from schensted import commute_check, dump_tableau, enumerate_cases  # noqa: E402
+from schensted import commute_check, enumerate_cases  # noqa: E402
+from schensted.cli import _Parser, reproducer  # noqa: E402
 
 
 def involution_number(n):
@@ -63,7 +63,7 @@ def shard_results(max_n, workers):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser = _Parser(description=__doc__.split("\n", 1)[0])  # a bad flag: one line, exit 2
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--workers", type=int, default=1, help="worker processes, at most the CPU count")
     args = parser.parse_args(argv)
@@ -76,9 +76,8 @@ def main(argv=None):
         total += checked
         if failure:
             results.close()
-            (t, x, y), oracle_rows = failure
-            rows = "".join(f" '{row}'" for row in dump_tableau(t).splitlines())
-            print(f"reproduce: printf '%s\\n'{rows} | schensted commute --x {x} --y {y}", file=sys.stderr)
+            case, oracle_rows = failure
+            print(reproducer(case), file=sys.stderr)
             if oracle_rows is not None:
                 print(f"only the oracle disagrees: jeu de taquin gives rows {oracle_rows}", file=sys.stderr)
             return 1

@@ -84,16 +84,18 @@ def cmd_commute(args: argparse.Namespace) -> int:
     return 0  # check_report raises when the three results disagree
 
 
+def reproducer(case: CaseDescriptor) -> str:
+    rows = "".join(f" '{row}'" for row in dump_tableau(case.tableau).splitlines())
+    return f"reproduce: printf '%s\\n'{rows} | schensted commute --x {case.x} --y {case.y}"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     workers = min(args.workers, os.cpu_count() or 1)  # more processes than cores only wait
     start = time.perf_counter()
     try:
         summary = run_sweep(args.max_n, workers=workers)
     except SweepFailure as err:
-        print(f"sweep failure: {err}", file=sys.stderr)
-        t, x, y = err.case.tableau, err.case.x, err.case.y
-        rows = "".join(f" '{row}'" for row in dump_tableau(t).splitlines())
-        print(f"reproduce: printf '%s\\n'{rows} | schensted commute --x {x} --y {y}", file=sys.stderr)
+        print(f"sweep failure: {err}\n{reproducer(err.case)}", file=sys.stderr)
         return 1
     print(f"checked {summary.cases_total} cases up to n={args.max_n}")
     for line in summary.records():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import schensted
 
 from conftest import INVOLUTION_NUMBERS
@@ -48,3 +50,17 @@ def test_frontier_oracle_sweep_agrees_at_one_and_two_workers():
     cases = sum(INVOLUTION_NUMBERS[n] * (n + 1) * (n + 2) for n in range(5))
     assert cases == 412
     assert outputs == [f"checked {cases} cases up to n=4 against jeu de taquin\n"] * 2
+
+
+@pytest.mark.parametrize("flags", [["--bogus"], ["--max-n", "-1"]])
+def test_frontier_oracle_sweep_rejects_a_bad_flag_with_one_line(flags):
+    src = os.path.dirname(os.path.dirname(schensted.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(ORACLE_SWEEP), *flags],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
