@@ -2,28 +2,28 @@
 
 For each case (T, x, y) of ``enumerate_cases`` with |T| up to ``--max-n``,
 ``commute_check``'s ``left``, ``right`` and ``fused`` must all equal the
-rectification of x ∗ T ∗ y (``tests/oracles.py``).  Level n is split into
-``--workers`` shards as ``verify`` splits it, and the shards are read in
-order, so the first failure is the same at every worker count.  Standard
-output is one line, the number of cases checked; the elapsed time goes to
-standard error.  A failure prints ``verify``'s reproducer line and exits 1;
-when only the oracle disagrees, a second line gives its rows.
+rectification of x ∗ T ∗ y (``tests/oracles.py``).  The shards run on
+``verify``'s runner, ``harness._shards``, and are read in order, so the first
+failure is the same at every worker count, and shards still running stop at
+their next tableau.  Standard output is one line, the number of cases checked;
+the elapsed time goes to standard error.  A failure prints ``verify``'s
+reproducer line and exits 1; when only the oracle disagrees, a second line
+gives its rows.
 
     PYTHONPATH=src python frontier/oracle_sweep.py --max-n 8 --workers 2
 """
 
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import jeu_de_taquin_tableau  # noqa: E402
-from schensted import commute_check, enumerate_cases  # noqa: E402
+from schensted import commute_check, enumerate_cases, harness  # noqa: E402
 from schensted.cli import _Parser, reproducer  # noqa: E402
 
 
@@ -38,28 +38,20 @@ def involution_number(n):
 def check_shard(n, shard, shards):
     """Cases of the shard that passed, and the first failing case with the oracle's rows, or None."""
     checked = 0
-    for case in enumerate_cases(n, shard, shards):
-        p = jeu_de_taquin_tableau(*case)
-        try:
-            report = commute_check(*case)
-        except Exception:  # the reproducer shows the error
-            return checked, (case, None)
-        agree = report.left == report.right == report.fused
-        if not (agree and report.left == p):
-            return checked, (case, p.rows if agree else None)
-        checked += 1
+    for _, cases in groupby(enumerate_cases(n, shard, shards), itemgetter(0)):
+        if harness._stop is not None and harness._stop.is_set():  # between tableaux
+            break  # nothing reads a stopped shard
+        for case in cases:
+            p = jeu_de_taquin_tableau(*case)
+            try:
+                report = commute_check(*case)
+            except Exception:  # the reproducer shows the error
+                return checked, (case, None)
+            agree = report.left == report.right == report.fused
+            if not (agree and report.left == p):
+                return checked, (case, p.rows if agree else None)
+            checked += 1
     return checked, None
-
-
-def shard_results(max_n, workers):
-    """``check_shard`` of every shard, level by level and in shard order."""
-    levels = [n for n in range(max_n + 1) for _ in range(workers)]
-    shards = [k for _ in range(max_n + 1) for k in range(workers)]
-    if workers == 1:
-        yield from map(check_shard, levels, shards, repeat(1))
-        return
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        yield from pool.map(check_shard, levels, shards, repeat(workers))  # closing cancels the rest
 
 
 def main(argv=None):
@@ -71,7 +63,7 @@ def main(argv=None):
         parser.error("--max-n must be non-negative and --workers at least 1")
     start = time.perf_counter()
     total = 0
-    results = shard_results(args.max_n, min(args.workers, os.cpu_count() or 1))
+    results = harness._shards(check_shard, args.max_n, min(args.workers, os.cpu_count() or 1))
     for checked, failure in results:
         total += checked
         if failure:

@@ -17,9 +17,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, get_args
 
 from .fused import CommutationReport, commute_check, trail_agreement
-# row_insert is not called here; it stays importable from this module, where the
-# span tracer's tests look it up.
-from .insertion import XAlreadyPresent, _bump, row_insert
+from .insertion import XAlreadyPresent, _bump
 from .insertion import slide_trail, validate_trail
 from .tableau import Label, Tableau, check_label
 from .trails import CONFIGURATIONS, Variant, check_relative_position
@@ -206,11 +204,11 @@ def check_report(case: CaseDescriptor, report: CommutationReport, summary: Sweep
     summary.cases_total += 1
 
 
-_stop = None  # in a pool worker, the event run_sweep sets once a level has failed
+_stop = None  # in a pool worker, the event _shards sets once the sweep has stopped
 
 
 def _watch(stop) -> None:
-    """Pool initializer: keep the parent's stop event for ``_sweep_level``."""
+    """Pool initializer: keep the parent's stop event for the jobs ``_shards`` runs."""
     global _stop
     _stop = stop
 
@@ -221,11 +219,30 @@ def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
     summary.stable = set()
     for _, cases in groupby(enumerate_cases(n, shard, num_shards), itemgetter(0)):
         if _stop is not None and _stop.is_set():  # between tableaux
-            break  # run_sweep discards a stopped summary
+            break  # nothing reads a stopped summary
         for case in cases:
             check_case(case, None, summary)
     summary.stable = None  # counts only leave the level
     return summary
+
+
+def _shards(job, max_n: int, workers: int) -> Iterator:
+    """``job(n, k, workers)`` for every shard k of every level n <= max_n, in order."""
+    levels = [n for n in range(max_n + 1) for _ in range(workers)]
+    if workers == 1:
+        yield from map(job, levels, repeat(0), repeat(1))
+        return
+    import multiprocessing  # heavy; only this path needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
+        # map yields in submission order and cancels the shards not yet started once a job raises
+        # or the caller stops reading; setting _stop then stops the shards already running.
+        try:
+            yield from pool.map(job, levels, cycle(range(workers)), repeat(workers))
+        finally:
+            stop.set()
 
 
 def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary:
@@ -242,24 +259,8 @@ def run_sweep(max_n: int, workers: int = 1, seed: object = None) -> SweepSummary
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     total = SweepSummary()
-    if workers == 1:
-        for n in range(max_n + 1):
-            total.merge(_sweep_level(n))
-    else:
-        import multiprocessing  # heavy; only this path needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        stop = multiprocessing.Event()
-        levels = [n for n in range(max_n + 1) for _ in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
-            # map yields in submission order, so the failure raised is the smallest level's,
-            # and cancels every shard not yet started when it raises.
-            try:
-                for part in pool.map(_sweep_level, levels, cycle(range(workers)), repeat(workers)):
-                    total.merge(part)
-            except BaseException:
-                stop.set()  # every earlier level is merged; shards already running stop
-                raise
+    for part in _shards(_sweep_level, max_n, workers):
+        total.merge(part)
     return total
 
 

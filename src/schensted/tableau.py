@@ -61,8 +61,6 @@ class DuplicateLabel(TableauError):
 
 def check_label(v: object) -> None:
     """Raise TableauError unless ``v`` is a natural number (``bool`` excluded)."""
-    if type(v) is int and v >= 0:  # the common case returns before the isinstance tests
-        return
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise TableauError(f"label {v!r} is not a natural")
 

@@ -33,6 +33,11 @@ from conftest import reversal_check
 from oracles import shape, transpose
 
 
+def sweep_level_failing_at_6(n, shard, num_shards):
+    """A job that returns its failure, as the oracle sweep's do: level 6 fails at once."""
+    return "failed" if n == 6 else harness._sweep_level(n, shard, num_shards)
+
+
 def row_insert_reversing_row_0(t, x):
     """A planted fault: row insertion whose trusted result has a decreasing first row."""
     result, trail = row_insert(t, x)
@@ -447,6 +452,31 @@ class TestSweepFailure:
         # cancelling queued tasks cannot stop them, the stop event must.
         marker = tmp_path / "level-8-started"
         assert self.sweep_failing_at(6, marker, monkeypatch).detail == "at n = 6"
+        assert not marker.exists()
+
+    def test_running_shards_stop_when_the_caller_stops_reading(self, tmp_path, monkeypatch):
+        # No job raises here: the caller reads a failure and stops, as the oracle sweep does.
+        marker = tmp_path / "level-8-started"
+        real = harness.check_case
+
+        def marking(case, rng, summary):
+            if len(case.tableau.labels) == 8:
+                marker.touch()
+            real(case, rng, summary)
+
+        monkeypatch.setattr(harness, "check_case", marking)  # inherited by forked workers
+        fork_pool = functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+        shards = harness._shards(sweep_level_failing_at_6, 8, 2)
+        passed = 0
+        for part in shards:
+            if part == "failed":
+                break
+            passed += part.cases_total
+        shards.close()
+        assert passed == sum(INVOLUTION_NUMBERS[n] * (n + 1) * (n + 2) for n in range(6))
         assert not marker.exists()
 
 

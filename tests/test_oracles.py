@@ -1,12 +1,18 @@
 import ast
+import functools
+import importlib.util
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent import futures
 from pathlib import Path
 
 import pytest
 
 import schensted
+from schensted import Tableau, enumerate_cases
+from schensted.cli import reproducer
 
 from conftest import INVOLUTION_NUMBERS
 
@@ -64,3 +70,46 @@ def test_frontier_oracle_sweep_rejects_a_bad_flag_with_one_line(flags):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.fixture
+def oracle_sweep(monkeypatch):
+    """``frontier/oracle_sweep.py`` loaded in this process, its pool on forked workers."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts tests/ on the path
+    spec = importlib.util.spec_from_file_location("oracle_sweep", ORACLE_SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "oracle_sweep", module)  # workers look check_shard up by name
+    spec.loader.exec_module(module)
+    fork_pool = functools.partial(futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", fork_pool)
+    return module
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_frontier_oracle_sweep_reports_where_only_the_oracle_disagrees(workers, oracle_sweep, monkeypatch, capsys):
+    real = oracle_sweep.jeu_de_taquin_tableau
+
+    def disagreeing(t, x, y):
+        return Tableau([[0]]) if len(t.labels) == 3 else real(t, x, y)
+
+    monkeypatch.setattr(oracle_sweep, "jeu_de_taquin_tableau", disagreeing)  # inherited by forked workers
+    assert oracle_sweep.main(["--max-n", "4", "--workers", workers]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        reproducer(next(enumerate_cases(3))),
+        "only the oracle disagrees: jeu de taquin gives rows ((0,),)",
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_frontier_oracle_sweep_counts_every_case(workers, oracle_sweep, monkeypatch, capsys):
+    real = oracle_sweep.enumerate_cases
+    dropped = next(real(3))
+    monkeypatch.setattr(  # inherited by forked workers
+        oracle_sweep, "enumerate_cases", lambda *args: (case for case in real(*args) if case != dropped)
+    )
+    assert oracle_sweep.main(["--max-n", "4", "--workers", workers]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "checked 411 cases, expected 412 from the involution numbers\n"

@@ -23,6 +23,7 @@ from schensted import (
     slide_trail,
 )
 from schensted.insertion import _apply_placements, _trail_placements
+from schensted.tableau import check_label
 
 from conftest import WORKED_ROWS
 from oracles import conjugate, shape, transpose
@@ -80,6 +81,17 @@ class TestConstruction:
         Label = enum.IntEnum("Label", "ONE TWO THREE")
         t = Tableau([[Label.ONE, 3], [Label.TWO]])
         assert t.rows == ((1, 3), (2,)) and type(t.rows[0][0]) is Label
+
+    @pytest.mark.parametrize("good", [0, 7, 2**70, enum.IntEnum("Label", "ONE").ONE], ids=repr)
+    def test_check_label_accepts_a_natural(self, good):
+        assert check_label(good) is None
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 1.5, "3", None], ids=repr)
+    def test_check_label_rejects_anything_else(self, bad):
+        with pytest.raises(TableauError) as exc:
+            check_label(bad)
+        assert type(exc.value) is TableauError and exc.value.box is None
+        assert str(exc.value) == f"label {bad!r} is not a natural"
 
     def test_list_rows_are_stored_as_tuples(self):
         # Insertion results share the rows they do not write, so a row must not be a list.
