@@ -16,14 +16,12 @@ gives its rows.
 import os
 import sys
 import time
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import jeu_de_taquin_tableau  # noqa: E402
-from schensted import commute_check, enumerate_cases, harness  # noqa: E402
+from schensted import SweepFailure, commute_check, enumerate_cases, harness  # noqa: E402
 from schensted.cli import _Parser, reproducer  # noqa: E402
 
 
@@ -36,22 +34,20 @@ def involution_number(n):
 
 
 def check_shard(n, shard, shards):
-    """Cases of the shard that passed, and the first failing case with the oracle's rows, or None."""
+    """The number of cases checked in the shard; raises SweepFailure at the first that fails."""
     checked = 0
-    for _, cases in groupby(enumerate_cases(n, shard, shards), itemgetter(0)):
-        if harness._stop is not None and harness._stop.is_set():  # between tableaux
-            break  # nothing reads a stopped shard
-        for case in cases:
-            p = jeu_de_taquin_tableau(*case)
-            try:
-                report = commute_check(*case)
-            except Exception:  # the reproducer shows the error
-                return checked, (case, None)
-            agree = report.left == report.right == report.fused
-            if not (agree and report.left == p):
-                return checked, (case, p.rows if agree else None)
-            checked += 1
-    return checked, None
+    for case in enumerate_cases(n, shard, shards):
+        p = jeu_de_taquin_tableau(*case)
+        try:
+            report = commute_check(*case)
+        except Exception as err:  # the reproducer shows the error
+            raise SweepFailure(case, "commutation", str(err)) from err
+        if not report.left == report.right == report.fused:
+            raise SweepFailure(case, "commutation", "left/right/fused disagree")
+        if report.left != p:
+            raise SweepFailure(case, "jeu_de_taquin", str(p.rows))
+        checked += 1
+    return checked
 
 
 def main(argv=None):
@@ -62,17 +58,13 @@ def main(argv=None):
     if args.max_n < 0 or args.workers < 1:
         parser.error("--max-n must be non-negative and --workers at least 1")
     start = time.perf_counter()
-    total = 0
-    results = harness._shards(check_shard, args.max_n, min(args.workers, os.cpu_count() or 1))
-    for checked, failure in results:
-        total += checked
-        if failure:
-            results.close()
-            case, oracle_rows = failure
-            print(reproducer(case), file=sys.stderr)
-            if oracle_rows is not None:
-                print(f"only the oracle disagrees: jeu de taquin gives rows {oracle_rows}", file=sys.stderr)
-            return 1
+    try:
+        total = sum(harness._shards(check_shard, args.max_n, min(args.workers, os.cpu_count() or 1)))
+    except SweepFailure as err:
+        print(reproducer(err.case), file=sys.stderr)
+        if err.invariant == "jeu_de_taquin":
+            print(f"only the oracle disagrees: jeu de taquin gives rows {err.detail}", file=sys.stderr)
+        return 1
     expected = sum(involution_number(n) * (n + 1) * (n + 2) for n in range(args.max_n + 1))
     if total != expected:
         print(f"checked {total} cases, expected {expected} from the involution numbers", file=sys.stderr)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import cycle, groupby, repeat
-from operator import itemgetter
+from itertools import cycle, islice, repeat
 from typing import Iterator, NamedTuple, Optional, get_args
 
 from .fused import CommutationReport, commute_check, trail_agreement
@@ -92,14 +91,17 @@ def enumerate_cases(n: int, shard: int = 0, num_shards: int = 1) -> Iterator[Cas
     Each tableau is relabelled once, with 3, 6, ..., 3n, and validated.  For
     gaps g != h among 0..n the pair is (3g + 1, 3h + 1); within one gap g it
     is (3g + 1, 3g + 2) in both orders: (n + 1)(n + 2) pairs per tableau.
-    Only the ``shard``-th of ``num_shards`` contiguous runs of the tableaux is
-    relabelled and yields its cases, so the shards in order give the whole level's.
+    Only the ``shard``-th of ``num_shards`` contiguous runs of the tableaux, counted and
+    taken from two streams of the level, is relabelled and yields its cases, so the shards
+    in order give the whole level's; none is relabelled once the stop event ``_stop`` is set.
     """
     gaps = range(n + 1)
     pairs = [(3 * g + 1, 3 * h + 1) for g in gaps for h in gaps if g != h]
     pairs += [(3 * g + 1 + k, 3 * g + 2 - k) for g in gaps for k in (0, 1)]
-    syt = list(enumerate_syt(n))
-    for t in syt[shard * len(syt) // num_shards : (shard + 1) * len(syt) // num_shards]:
+    count = sum(1 for _ in enumerate_syt(n))
+    for t in islice(enumerate_syt(n), shard * count // num_shards, (shard + 1) * count // num_shards):
+        if _stop is not None and _stop.is_set():
+            return  # nothing reads a stopped shard
         rt = Tableau(tuple(tuple(3 * v for v in row) for row in t.rows))
         for x, y in pairs:
             yield CaseDescriptor(rt, x, y)
@@ -214,14 +216,11 @@ def _watch(stop) -> None:
 
 
 def _sweep_level(n: int, shard: int = 0, num_shards: int = 1) -> SweepSummary:
-    """Check all cases of the ``shard``-th of ``num_shards`` contiguous runs of tableaux of size n."""
+    """Check every case of ``enumerate_cases(n, shard, num_shards)``, which stops itself."""
     summary = SweepSummary()
     summary.stable = set()
-    for _, cases in groupby(enumerate_cases(n, shard, num_shards), itemgetter(0)):
-        if _stop is not None and _stop.is_set():  # between tableaux
-            break  # nothing reads a stopped summary
-        for case in cases:
-            check_case(case, None, summary)
+    for case in enumerate_cases(n, shard, num_shards):
+        check_case(case, None, summary)
     summary.stable = None  # counts only leave the level
     return summary
 

@@ -3,9 +3,10 @@ import multiprocessing
 import pickle
 import random
 import sys
+import weakref
 from collections import Counter
 from concurrent import futures
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from oracles import shape, transpose
 
 
 def sweep_level_failing_at_6(n, shard, num_shards):
-    """A job that returns its failure, as the oracle sweep's do: level 6 fails at once."""
+    """A job that returns its failure instead of raising it: level 6 fails at once."""
     return "failed" if n == 6 else harness._sweep_level(n, shard, num_shards)
 
 
@@ -136,6 +137,26 @@ class TestEnumerateCases:
                 owned = blocks[shard * len(blocks) // num_shards : (shard + 1) * len(blocks) // num_shards]
                 assert list(enumerate_cases(n, shard, num_shards)) == [c for b in owned for c in b]
                 assert len(calls) == len(owned)
+
+    def test_a_shard_holds_one_tableau_at_a_time(self, monkeypatch):
+        alive, real = weakref.WeakSet(), harness.enumerate_syt
+
+        def registering(n):
+            for t in real(n):  # real recurses through this wrapper; only size 6 is registered
+                if n == 6:
+                    alive.add(t)
+                yield t
+
+        monkeypatch.setattr(harness, "enumerate_syt", registering)
+        held = [len(alive) for shard in (0, 1) for _ in enumerate_cases(6, shard, 2)]
+        assert len(held) == 76 * 7 * 8
+        assert 1 <= max(held) <= 2  # listing the level would keep all 76
+
+    def test_a_shard_stops_before_relabelling_once_the_stop_event_is_set(self, monkeypatch):
+        whole = list(enumerate_cases(4))
+        assert harness._stop is None and len(whole) == 300
+        monkeypatch.setattr(harness, "_stop", SimpleNamespace(is_set=chain([False], repeat(True)).__next__))
+        assert list(enumerate_cases(4)) == whole[:30]  # the cases of the first tableau
 
     @pytest.mark.parametrize("n", range(5))
     def test_case_invariants(self, n):
@@ -455,7 +476,7 @@ class TestSweepFailure:
         assert not marker.exists()
 
     def test_running_shards_stop_when_the_caller_stops_reading(self, tmp_path, monkeypatch):
-        # No job raises here: the caller reads a failure and stops, as the oracle sweep does.
+        # No job raises here: the caller reads a returned failure and stops reading.
         marker = tmp_path / "level-8-started"
         real = harness.check_case
 

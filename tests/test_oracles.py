@@ -103,6 +103,26 @@ def test_frontier_oracle_sweep_reports_where_only_the_oracle_disagrees(workers, 
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fault", ["raises", "fused differs"])
+def test_frontier_oracle_sweep_reports_where_commute_check_fails(fault, workers, oracle_sweep, monkeypatch, capsys):
+    real = oracle_sweep.commute_check
+
+    def failing(t, x, y):
+        report = real(t, x, y)
+        if len(t.labels) != 3:
+            return report
+        if fault == "raises":
+            raise ValueError("planted")
+        return report._replace(fused=Tableau([[0]]))
+
+    monkeypatch.setattr(oracle_sweep, "commute_check", failing)  # inherited by forked workers
+    assert oracle_sweep.main(["--max-n", "4", "--workers", workers]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [reproducer(next(enumerate_cases(3)))]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_frontier_oracle_sweep_counts_every_case(workers, oracle_sweep, monkeypatch, capsys):
     real = oracle_sweep.enumerate_cases
     dropped = next(real(3))
